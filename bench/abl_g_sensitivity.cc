@@ -34,9 +34,9 @@ GainRow run_gain(double g) {
   p.rtt = 1e-3;
   p.g = g;
   row.crit_dc =
-      analysis::critical_flows(p, fluid::MarkingSpec::single(40.0), 5, 400);
+      analysis::critical_flows(p, queue::MarkingRule::dctcp(40.0), 5, 400);
   row.crit_dt = analysis::critical_flows(
-      p, fluid::MarkingSpec::hysteresis(30.0, 50.0), 5, 400);
+      p, queue::MarkingRule::dt_dctcp(30.0, 50.0), 5, 400);
   return row;
 }
 

@@ -25,17 +25,15 @@ WidthRow run_width(std::size_t flows, double width) {
 
   WidthRow row;
   auto cfg = bench::sweep_config(flows, /*dt=*/width > 0.0);
-  cfg.marking = width > 0.0 ? core::MarkingConfig::dt_dctcp(k1, k2)
-                            : core::MarkingConfig::dctcp(40.0);
+  cfg.marking = width > 0.0 ? queue::MarkingRule::dt_dctcp(k1, k2)
+                            : queue::MarkingRule::dctcp(40.0);
   row.sim = core::run_dumbbell(cfg);
 
   analysis::PlantParams p;
   p.capacity_pps = 1e10 / (8.0 * 1500.0);
   p.rtt = 1e-3;
   p.g = 1.0 / 16.0;
-  const auto spec = width > 0.0 ? fluid::MarkingSpec::hysteresis(k1, k2)
-                                : fluid::MarkingSpec::single(40.0);
-  row.crit = analysis::critical_flows(p, spec, 5, 400);
+  row.crit = analysis::critical_flows(p, cfg.marking, 5, 400);
   return row;
 }
 

@@ -4,12 +4,10 @@
 // packets that waited through the congestion they report. Compares the
 // two mark points across the flow sweep (single threshold, K = 40).
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/sweep_common.h"
-#include "queue/ecn_threshold.h"
 #include "runner/runner.h"
 
 using namespace dtdctcp;
@@ -18,10 +16,8 @@ namespace {
 
 core::DumbbellResult run_point(std::size_t flows, queue::MarkPoint mp) {
   auto cfg = bench::sweep_config(flows, false);
-  cfg.bottleneck_override = [mp] {
-    return std::make_unique<queue::EcnThresholdQueue>(
-        0, 100, 40.0, queue::ThresholdUnit::kPackets, mp);
-  };
+  cfg.marking =
+      queue::MarkingRule::dctcp(40.0, queue::ThresholdUnit::kPackets, mp);
   return core::run_dumbbell(cfg);
 }
 

@@ -24,11 +24,7 @@ core::IncastExperimentResult run_point(std::size_t flows, bool dt,
   cfg.tcp.mode = tcp::CcMode::kDctcp;
   cfg.tcp.min_rto = min_rto;
   cfg.tcp.init_rto = min_rto;
-  cfg.testbed.marking =
-      dt ? core::MarkingConfig::dt_dctcp(28 * 1024, 34 * 1024,
-                                         queue::ThresholdUnit::kBytes)
-         : core::MarkingConfig::dctcp(32 * 1024,
-                                      queue::ThresholdUnit::kBytes);
+  cfg.testbed.marking = dt ? core::kTestbedDtDctcp : core::kTestbedDctcp;
   return core::run_incast(cfg);
 }
 

@@ -34,11 +34,7 @@ core::IncastExperimentResult run_point(std::size_t flows, bool dt,
   cfg.tcp.pacing = m.pacing;
   cfg.tcp.min_rto = m.min_rto;
   cfg.tcp.init_rto = m.min_rto;
-  cfg.testbed.marking =
-      dt ? core::MarkingConfig::dt_dctcp(28 * 1024, 34 * 1024,
-                                         queue::ThresholdUnit::kBytes)
-         : core::MarkingConfig::dctcp(32 * 1024,
-                                      queue::ThresholdUnit::kBytes);
+  cfg.testbed.marking = dt ? core::kTestbedDtDctcp : core::kTestbedDctcp;
   return core::run_incast(cfg);
 }
 

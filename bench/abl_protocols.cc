@@ -3,14 +3,10 @@
 // Compares Reno+DropTail, Reno+RED, classic ECN, DCTCP, and DT-DCTCP on
 // queue occupancy, loss, and utilization at two flow counts.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/sweep_common.h"
-#include "queue/codel.h"
-#include "queue/pie.h"
-#include "queue/red.h"
 #include "runner/runner.h"
 
 using namespace dtdctcp;
@@ -20,8 +16,7 @@ namespace {
 struct ProtoCase {
   const char* name;
   tcp::CcMode mode;
-  int queue_kind;  // 0 droptail, 1 red, 2 dctcp-K, 3 dt-hysteresis,
-                   // 4 codel, 5 pie
+  queue::MarkingRule marking;  ///< on the 100-pkt bottleneck
 };
 
 core::DumbbellResult run_case(const ProtoCase& pc, std::size_t flows) {
@@ -29,41 +24,7 @@ core::DumbbellResult run_case(const ProtoCase& pc, std::size_t flows) {
   cfg.tcp.mode = pc.mode;
   cfg.tcp.min_rto = 0.01;  // loss-based stacks need a sane datacenter RTO
   cfg.tcp.init_rto = 0.01;
-  switch (pc.queue_kind) {
-    case 0:
-      cfg.bottleneck_override = queue::drop_tail(0, 100);
-      break;
-    case 1:
-      cfg.bottleneck_override = [] {
-        queue::RedConfig rc;
-        rc.min_th = 30.0;
-        rc.max_th = 50.0;
-        rc.max_p = 0.1;
-        rc.weight = 0.002;
-        return std::make_unique<queue::RedQueue>(0, 100, rc);
-      };
-      break;
-    case 2:
-      cfg.marking = core::MarkingConfig::dctcp(40.0);
-      break;
-    case 3:
-      cfg.marking = core::MarkingConfig::dt_dctcp(30.0, 50.0);
-      break;
-    case 4:
-      cfg.bottleneck_override = [] {
-        return std::make_unique<queue::CodelQueue>(
-            0, 100, queue::CodelConfig{50e-6, 500e-6});
-      };
-      break;
-    case 5:
-      cfg.bottleneck_override = [cfg] {
-        return std::make_unique<queue::PieQueue>(0, 100, queue::PieConfig{},
-                                                 cfg.bottleneck_bps);
-      };
-      break;
-    default:
-      break;
-  }
+  cfg.marking = pc.marking;
   return core::run_dumbbell(cfg);
 }
 
@@ -74,16 +35,24 @@ int main() {
   std::printf("buffer 100 pkts, RTT 100 us; RED band aligned with the "
               "DT thresholds (30/50)\n\n");
 
+  using queue::MarkingRule;
+  const auto droptail = MarkingRule::drop_tail();
+  const auto red = MarkingRule::aqm(queue::RedConfig{.min_th = 30.0,
+                                                     .max_th = 50.0});
+  const auto k40 = MarkingRule::dctcp(40.0);
   const ProtoCase cases[] = {
-      {"Reno+DropTail", tcp::CcMode::kReno, 0},
-      {"CUBIC+DropTail", tcp::CcMode::kCubic, 0},
-      {"Reno+RED(drop mode)", tcp::CcMode::kReno, 1},
-      {"EcnReno+RED", tcp::CcMode::kEcnReno, 1},
-      {"EcnReno+K40", tcp::CcMode::kEcnReno, 2},
-      {"DCTCP+CoDel(50us)", tcp::CcMode::kDctcp, 4},
-      {"DCTCP+PIE(50us)", tcp::CcMode::kDctcp, 5},
-      {"DCTCP+K40", tcp::CcMode::kDctcp, 2},
-      {"DT-DCTCP(30,50)", tcp::CcMode::kDctcp, 3},
+      {"Reno+DropTail", tcp::CcMode::kReno, droptail},
+      {"CUBIC+DropTail", tcp::CcMode::kCubic, droptail},
+      {"Reno+RED(drop mode)", tcp::CcMode::kReno, red},
+      {"EcnReno+RED", tcp::CcMode::kEcnReno, red},
+      {"EcnReno+K40", tcp::CcMode::kEcnReno, k40},
+      {"DCTCP+CoDel(50us)", tcp::CcMode::kDctcp,
+       MarkingRule::aqm(queue::CodelConfig{})},
+      {"DCTCP+PIE(50us)", tcp::CcMode::kDctcp,
+       MarkingRule::aqm(queue::PieConfig{})},
+      {"DCTCP+K40", tcp::CcMode::kDctcp, k40},
+      {"DT-DCTCP(30,50)", tcp::CcMode::kDctcp,
+       MarkingRule::dt_dctcp(30.0, 50.0)},
   };
 
   const std::vector<std::size_t> flow_counts = {10, 60};

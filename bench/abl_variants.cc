@@ -15,29 +15,18 @@ using namespace dtdctcp;
 namespace {
 
 core::DumbbellResult run_variant(std::size_t flows, int variant) {
+  const auto dt = [](queue::HysteresisVariant v) {
+    return queue::MarkingRule::dt_dctcp(30.0, 50.0,
+                                        queue::ThresholdUnit::kPackets, v);
+  };
+  const queue::MarkingRule rules[] = {
+      queue::MarkingRule::dctcp(40.0),
+      dt(queue::HysteresisVariant::kTrendPeak),
+      dt(queue::HysteresisVariant::kDrainToStart),
+      dt(queue::HysteresisVariant::kHalfBand),
+  };
   auto cfg = bench::sweep_config(flows, /*dt=*/variant > 0);
-  switch (variant) {
-    case 0:
-      cfg.marking = core::MarkingConfig::dctcp(40.0);
-      break;
-    case 1:
-      cfg.marking = core::MarkingConfig::dt_dctcp(
-          30.0, 50.0, queue::ThresholdUnit::kPackets,
-          queue::HysteresisVariant::kTrendPeak);
-      break;
-    case 2:
-      cfg.marking = core::MarkingConfig::dt_dctcp(
-          30.0, 50.0, queue::ThresholdUnit::kPackets,
-          queue::HysteresisVariant::kDrainToStart);
-      break;
-    case 3:
-      cfg.marking = core::MarkingConfig::dt_dctcp(
-          30.0, 50.0, queue::ThresholdUnit::kPackets,
-          queue::HysteresisVariant::kHalfBand);
-      break;
-    default:
-      break;
-  }
+  cfg.marking = rules[variant];
   return core::run_dumbbell(cfg);
 }
 

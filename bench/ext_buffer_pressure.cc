@@ -8,9 +8,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "queue/drop_tail.h"
-#include "queue/ecn_hysteresis.h"
-#include "queue/ecn_threshold.h"
 #include "queue/factory.h"
 #include "sim/network.h"
 #include "sim/shared_buffer.h"
@@ -28,7 +25,7 @@ struct Result {
   double elephant_queue = 0.0;
 };
 
-Result run_kind(int kind) {  // 0 droptail, 1 dctcp, 2 dt-dctcp
+Result run_kind(const queue::MarkingRule& elephant_marking) {
   sim::SharedBufferPool pool(96 * 1500);  // ~144 KB shared memory
   sim::Network net;
   auto& sw = net.add_switch("sw");
@@ -36,25 +33,9 @@ Result run_kind(int kind) {  // 0 droptail, 1 dctcp, 2 dt-dctcp
   auto& eleph_client = net.add_host("eleph_client");
   const auto q = queue::drop_tail(0, 0);
 
-  auto pooled = [&pool](std::unique_ptr<queue::FifoBase> d) {
-    d->set_shared_pool(&pool);
-    return d;
-  };
-  const auto burst_disc = [&] {
-    return pooled(std::make_unique<queue::DropTailQueue>(0, 0));
-  };
-  const auto eleph_disc = [&]() -> std::unique_ptr<sim::QueueDisc> {
-    switch (kind) {
-      case 1:
-        return pooled(std::make_unique<queue::EcnThresholdQueue>(
-            0, 0, 20.0, queue::ThresholdUnit::kPackets));
-      case 2:
-        return pooled(std::make_unique<queue::EcnHysteresisQueue>(
-            0, 0, 15.0, 25.0, queue::ThresholdUnit::kPackets));
-      default:
-        return pooled(std::make_unique<queue::DropTailQueue>(0, 0));
-    }
-  };
+  const auto burst_disc = queue::pooled(queue::drop_tail(0, 0), pool);
+  const auto eleph_disc =
+      queue::pooled(elephant_marking.queue_factory(0, 0), pool);
 
   const std::size_t burst_port = net.attach_host(
       burst_client, sw, units::mbps(100), 25e-6, q, burst_disc);
@@ -121,10 +102,17 @@ int main() {
               "burst_mean", "burst_max", "burst_drops", "eleph_queue");
   std::printf("%-22s %14s %14s %12s %12s\n", "", "(ms)", "(ms)", "",
               "(pkts)");
-  const char* names[] = {"DropTail", "DCTCP(K=20)", "DT-DCTCP(15,25)"};
-  for (int kind = 0; kind < 3; ++kind) {
-    const auto r = run_kind(kind);
-    std::printf("%-22s %14.2f %14.2f %12llu %12.0f\n", names[kind],
+  const struct {
+    const char* name;
+    queue::MarkingRule marking;
+  } kinds[] = {
+      {"DropTail", queue::MarkingRule::drop_tail()},
+      {"DCTCP(K=20)", queue::MarkingRule::dctcp(20.0)},
+      {"DT-DCTCP(15,25)", queue::MarkingRule::dt_dctcp(15.0, 25.0)},
+  };
+  for (const auto& kind : kinds) {
+    const auto r = run_kind(kind.marking);
+    std::printf("%-22s %14.2f %14.2f %12llu %12.0f\n", kind.name,
                 r.burst_fct_mean_ms, r.burst_fct_max_ms,
                 static_cast<unsigned long long>(r.burst_drops),
                 r.elephant_queue);

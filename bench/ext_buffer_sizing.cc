@@ -42,7 +42,7 @@ constexpr std::size_t kSizes = 5;
 // DT pool (alpha = 1, 2-packet guaranteed headroom per port).
 struct SchemeSpec {
   const char* label;
-  workload::FctScheme scheme;
+  queue::MarkingRule scheme;
   bool shared_pool;
 };
 constexpr SchemeSpec kSchemeSpecs[] = {

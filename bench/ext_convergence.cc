@@ -9,6 +9,7 @@
 #include "bench/bench_common.h"
 #include "queue/factory.h"
 #include "sim/network.h"
+#include "workload/fct_workloads.h"
 #include "workload/flow_sampler.h"
 
 using namespace dtdctcp;
@@ -20,11 +21,8 @@ void run_protocol(bool dt) {
   auto& sw = net.add_switch("sw");
   auto& sink = net.add_host("sink");
   const auto q = queue::drop_tail(0, 0);
-  const auto mark =
-      dt ? queue::ecn_hysteresis(0, 200, 15.0, 25.0,
-                                 queue::ThresholdUnit::kPackets)
-         : queue::ecn_threshold(0, 200, 20.0,
-                                queue::ThresholdUnit::kPackets);
+  const auto mark = (dt ? workload::FctScheme::kDtLoop
+                        : workload::FctScheme::kDctcp).queue_factory(0, 200);
   net.attach_host(sink, sw, units::gbps(1), 25e-6, q, mark);
 
   constexpr int kFlows = 5;

@@ -13,6 +13,7 @@
 #include "queue/factory.h"
 #include "sim/network.h"
 #include "tcp/connection.h"
+#include "workload/fct_workloads.h"
 
 using namespace dtdctcp;
 
@@ -31,11 +32,9 @@ GroupResult run_mix(bool deadline_aware, bool dt_switch, int flows,
   auto& sw = net.add_switch("sw");
   auto& sink = net.add_host("sink");
   const auto q = queue::drop_tail(0, 0);
-  const auto mark =
-      dt_switch ? queue::ecn_hysteresis(0, 200, 15.0, 25.0,
-                                        queue::ThresholdUnit::kPackets)
-                : queue::ecn_threshold(0, 200, 20.0,
-                                       queue::ThresholdUnit::kPackets);
+  const auto mark = (dt_switch ? workload::FctScheme::kDtLoop
+                               : workload::FctScheme::kDctcp)
+                        .queue_factory(0, 200);
   net.attach_host(sink, sw, units::gbps(1), 25e-6, q, mark);
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < flows; ++i) {

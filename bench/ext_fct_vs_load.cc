@@ -10,6 +10,7 @@
 #include "queue/factory.h"
 #include "runner/runner.h"
 #include "sim/leaf_spine.h"
+#include "workload/fct_workloads.h"
 #include "workload/poisson_flows.h"
 
 using namespace dtdctcp;
@@ -29,11 +30,8 @@ Result run_load(double load, bool dt) {
   fab_cfg.hosts_per_leaf = 4;
   fab_cfg.host_link_bps = units::gbps(1);
   fab_cfg.fabric_link_bps = units::gbps(4);
-  const auto mark =
-      dt ? queue::ecn_hysteresis(0, 250, 15.0, 25.0,
-                                 queue::ThresholdUnit::kPackets)
-         : queue::ecn_threshold(0, 250, 20.0,
-                                queue::ThresholdUnit::kPackets);
+  const auto mark = (dt ? workload::FctScheme::kDtLoop
+                        : workload::FctScheme::kDctcp).queue_factory(0, 250);
   auto fab = sim::build_leaf_spine(fab_cfg, mark);
 
   tcp::TcpConfig tcp_cfg;

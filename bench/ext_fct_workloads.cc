@@ -37,7 +37,7 @@ const workload::FctWorkloadKind kKinds[] = {
     workload::FctWorkloadKind::kDataMining,
     workload::FctWorkloadKind::kQueryBackground,
 };
-const workload::FctScheme kSchemes[] = {
+const queue::MarkingRule kSchemes[] = {
     workload::FctScheme::kDctcp,
     workload::FctScheme::kDtLoop,
     workload::FctScheme::kDtBand,

@@ -14,6 +14,7 @@
 #include "sim/queue_monitor.h"
 #include "stats/percentile.h"
 #include "tcp/connection.h"
+#include "workload/fct_workloads.h"
 
 using namespace dtdctcp;
 
@@ -30,20 +31,11 @@ Result run_stack(int kind) {  // 0 cubic+droptail, 1 dctcp, 2 dt-dctcp
   auto& sw = net.add_switch("sw");
   auto& sink = net.add_host("sink");
   const auto q = queue::drop_tail(0, 0);
-  sim::QueueFactory bneck;
-  switch (kind) {
-    case 0: bneck = queue::drop_tail(0, 150); break;
-    case 1:
-      bneck = queue::ecn_threshold(0, 150, 20.0,
-                                   queue::ThresholdUnit::kPackets);
-      break;
-    default:
-      bneck = queue::ecn_hysteresis(0, 150, 15.0, 25.0,
-                                    queue::ThresholdUnit::kPackets);
-      break;
-  }
-  const std::size_t port = net.attach_host(sink, sw, units::gbps(1), 25e-6,
-                                           q, bneck);
+  const queue::MarkingRule rules[] = {workload::FctScheme::kDropTail,
+                                      workload::FctScheme::kDctcp,
+                                      workload::FctScheme::kDtLoop};
+  const std::size_t port = net.attach_host(
+      sink, sw, units::gbps(1), 25e-6, q, rules[kind].queue_factory(0, 150));
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < 3; ++i) {
     auto& h = net.add_host("h" + std::to_string(i));

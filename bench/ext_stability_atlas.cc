@@ -46,18 +46,18 @@ analysis::AtlasConfig default_grid() {
   // their onset (N* = n_lo with heavily clipped extrapolated
   // amplitudes), where the quasi-linear DF has nothing quantitative to
   // say. Cross-CC maps stay available via `dtdctcp_cli atlas --cc ...`.
-  fluid::MarkingSpec pie = fluid::MarkingSpec::pie(50e-6);
   // Stock PIE gains target internet RTTs; at datacenter rates the
   // integrator would need seconds to converge. Scale both gains so the
   // controller acts within the simulated window (same ratio).
-  pie.pie_alpha = 125.0;
-  pie.pie_beta = 1250.0;
+  queue::PieConfig pie;
+  pie.alpha = 125.0;
+  pie.beta = 1250.0;
   cfg.markings = {
-      fluid::MarkingSpec::single(40.0),
-      fluid::MarkingSpec::hysteresis(20.0, 40.0),
-      fluid::MarkingSpec::red(30.0, 90.0),
-      fluid::MarkingSpec::red(20.0, 40.0),
-      pie,
+      queue::MarkingRule::dctcp(40.0),
+      queue::MarkingRule::dt_dctcp(20.0, 40.0),
+      queue::MarkingRule::aqm(queue::RedConfig{.min_th = 30.0, .max_th = 90.0}),
+      queue::MarkingRule::aqm(queue::RedConfig{.min_th = 20.0, .max_th = 40.0}),
+      queue::MarkingRule::aqm(pie),
   };
   cfg.ccs = {analysis::CcVariant::kDctcp};
   cfg.rtts = {100e-6, 500e-6, 1e-3};
@@ -100,7 +100,7 @@ void maybe_write_atlas_json(const analysis::Atlas& atlas) {
     char rtt[32];
     std::snprintf(rtt, sizeof(rtt), "%gus", c.rtt * 1e6);
     const std::string name = std::string("atlas/") +
-                             analysis::marking_label(c.spec) + "/" +
+                             c.marking.label() + "/" +
                              analysis::cc_label(c.cc) + "/" + rtt;
     out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << name
         << "\", \"run_name\": \"" << name
@@ -157,7 +157,7 @@ int main() {
     }
     std::printf(
         "%-10s %-9s %7.0f | %5d %5d | %9.2f %9.1f %4s %8.2f\n",
-        analysis::marking_label(c.spec).c_str(), analysis::cc_label(c.cc),
+        c.marking.label().c_str(), analysis::cc_label(c.cc),
         c.rtt * 1e6, c.onset.critical_n, c.onset.stable_n, c.amplitude_pkts,
         c.frequency_hz, c.clipped ? "yes" : "no", c.gain_margin_db);
   }
@@ -171,7 +171,7 @@ int main() {
   for (std::size_t i = 0; i < cells; ++i) {
     const auto& v = kValidation[i];
     core::OscillationProbeConfig p;
-    p.spec = cfg.markings[v.marking_index];
+    p.marking = cfg.markings[v.marking_index];
     p.cc = v.cc;
     p.flows = v.flows;
     p.rate_bps = cfg.rates_bps[0];
@@ -183,7 +183,7 @@ int main() {
     probes[i] = p;
 
     analysis::AtlasCell cell;
-    cell.spec = p.spec;
+    cell.marking = p.marking;
     cell.cc = p.cc;
     cell.rtt = p.rtt;
     cell.rate_bps = p.rate_bps;
@@ -225,7 +225,7 @@ int main() {
     }
     failures += ok ? 0 : 1;
     std::printf("%-22s %-10s %5zu | %9.2f %9.2f | %9.1f %9.1f | %s\n",
-                v.why, analysis::marking_label(probes[i].spec).c_str(),
+                v.why, probes[i].marking.label().c_str(),
                 v.flows, pred_amp,
                 c.intersects ? r.amplitude_pkts : r.amplitude_rms_pkts,
                 c.frequency_hz, r.frequency_hz, ok ? "ok" : "FAIL");

@@ -6,8 +6,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "queue/ecn_hysteresis.h"
-#include "queue/ecn_threshold.h"
+#include "queue/factory.h"
 
 using namespace dtdctcp;
 
@@ -16,8 +15,7 @@ namespace {
 // Drives a discipline through a triangular excursion 0 -> peak -> 0 by
 // enqueue/dequeue bursts and prints the occupancy band in which arriving
 // packets got marked.
-template <typename Queue>
-void drive(Queue& q, const char* name, int peak) {
+void drive(sim::QueueDisc& q, const char* name, int peak) {
   int first_mark_up = -1, last_mark_up = -1;
   int first_mark_down = -1, last_mark_down = -1;
 
@@ -63,12 +61,12 @@ int main() {
   bench::header("Figure 2", "marking strategies of DCTCP and DT-DCTCP");
   std::printf("synthetic excursion 0 -> 80 -> 0 packets; K=40, K1=30, K2=50\n\n");
 
-  queue::EcnThresholdQueue dc(0, 0, 40.0, queue::ThresholdUnit::kPackets);
-  drive(dc, "DCTCP", 80);
+  const auto dc = queue::MarkingRule::dctcp(40.0).queue_factory(0, 0)();
+  drive(*dc, "DCTCP", 80);
 
-  queue::EcnHysteresisQueue dt(0, 0, 30.0, 50.0,
-                               queue::ThresholdUnit::kPackets);
-  drive(dt, "DT-DCTCP", 80);
+  const auto dt =
+      queue::MarkingRule::dt_dctcp(30.0, 50.0).queue_factory(0, 0)();
+  drive(*dt, "DT-DCTCP", 80);
 
   bench::expectation(
       "DCTCP marks while occupancy >= 40 on both phases. DT-DCTCP starts "

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "analysis/describing_function.h"
+#include "analysis/marking_model.h"
 #include "bench/bench_common.h"
 
 using namespace dtdctcp;
@@ -21,7 +22,7 @@ int main() {
   for (double x : {41.0, 45.0, 50.0, 56.57, 70.0, 100.0, 200.0, 800.0}) {
     const Complex cf = analysis::df_dctcp(x, k);
     const Complex nu =
-        analysis::numeric_df(fluid::MarkingSpec::single(k), x, 0.0);
+        analysis::numeric_df(queue::MarkingRule::dctcp(k), x, 0.0);
     std::printf("%8.2f %14.6e %14.6e %12.2e\n", x, cf.real(), nu.real(),
                 std::abs(nu - cf) / std::abs(cf));
   }
@@ -32,7 +33,7 @@ int main() {
   for (double x : {51.0, 55.0, 60.0, 70.0, 100.0, 200.0, 800.0}) {
     const Complex cf = analysis::df_dtdctcp(x, k1, k2);
     const Complex nu =
-        analysis::numeric_df(fluid::MarkingSpec::hysteresis(k1, k2), x, 0.0);
+        analysis::numeric_df(queue::MarkingRule::dt_dctcp(k1, k2), x, 0.0);
     std::printf("%8.2f %12.4e %12.4e %12.4e %12.4e %10.2e\n", x, cf.real(),
                 cf.imag(), nu.real(), nu.imag(),
                 std::abs(nu - cf) / std::abs(cf));
@@ -41,20 +42,24 @@ int main() {
   bench::section("-1/N0 loci (the curves of Fig. 9)");
   std::printf("%8s %14s %14s %14s %14s\n", "X_pkts", "dc_Re(-1/N0)",
               "dc_Im(-1/N0)", "dt_Re(-1/N0)", "dt_Im(-1/N0)");
+  const auto dc_model =
+      analysis::MarkingModel::make(queue::MarkingRule::dctcp(k), {});
+  const auto dt_model =
+      analysis::MarkingModel::make(queue::MarkingRule::dt_dctcp(k1, k2), {});
   for (double x : {51.0, 55.0, 60.0, 70.0, 85.0, 110.0, 160.0, 300.0, 1000.0}) {
-    const Complex dc = analysis::neg_recip_relative_df(
-        fluid::MarkingSpec::single(k), x);
-    const Complex dt = analysis::neg_recip_relative_df(
-        fluid::MarkingSpec::hysteresis(k1, k2), x);
+    const Complex dc = dc_model.neg_recip(x);
+    const Complex dt = dt_model.neg_recip(x);
     std::printf("%8.1f %14.4f %14.4f %14.4f %14.4f\n", x, dc.real(),
                 dc.imag(), dt.real(), dt.imag());
   }
 
   double ax_dc = 0.0, ax_dt = 0.0;
-  const double mdc = analysis::max_real_neg_recip(
-      fluid::MarkingSpec::single(k), k + 1e-6, 200 * k, &ax_dc);
-  const double mdt = analysis::max_real_neg_recip(
-      fluid::MarkingSpec::hysteresis(k1, k2), k2 + 1e-6, 200 * k2, &ax_dt);
+  const double mdc = analysis::max_real_of_locus(
+      [&](double x) { return dc_model.neg_recip(x); }, k + 1e-6, 200 * k,
+      &ax_dc);
+  const double mdt = analysis::max_real_of_locus(
+      [&](double x) { return dt_model.neg_recip(x); }, k2 + 1e-6, 200 * k2,
+      &ax_dt);
   std::printf("\nmax Re(-1/N0dc) = %.4f at X = %.2f (theory: -pi = %.4f at "
               "K*sqrt2 = %.2f)\n",
               mdc, ax_dc, -M_PI, k * std::sqrt(2.0));

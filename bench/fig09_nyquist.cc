@@ -32,10 +32,10 @@ PlantParams plant(double flows, double rtt) {
   return p;
 }
 
-void report(const char* label, double rtt) {
-  const auto dc_spec = fluid::MarkingSpec::single(40.0);
-  const auto dt_spec = fluid::MarkingSpec::hysteresis(30.0, 50.0);
+const auto dc_spec = queue::MarkingRule::dctcp(40.0);
+const auto dt_spec = queue::MarkingRule::dt_dctcp(30.0, 50.0);
 
+void report(const char* label, double rtt) {
   bench::section(label);
   std::printf("%5s | %13s %10s | %10s\n", "N", "DC_cross_Re", "DC_cycle",
               "DT_cycle");
@@ -75,7 +75,6 @@ int main() {
 
   // Locus samples for plotting (N near the DC critical point in (b)).
   bench::section("locus samples at N = 60, RTT = 1 ms (for plotting)");
-  const auto dt_spec = fluid::MarkingSpec::hysteresis(30.0, 50.0);
   const auto plant_pts =
       analysis::sample_plant_locus(plant(60, 1e-3), dt_spec, 50.0, 2e4, 24);
   std::printf("# K0*G(jw): w_rad_s Re Im\n");

@@ -20,11 +20,7 @@ core::IncastExperimentConfig base_config(std::size_t flows, bool dt) {
   cfg.tcp.mode = tcp::CcMode::kDctcp;
   cfg.tcp.min_rto = 0.2;  // the 200 ms min-RTO of the paper-era stacks
   cfg.tcp.init_rto = 0.2;
-  cfg.testbed.marking =
-      dt ? core::MarkingConfig::dt_dctcp(28 * 1024, 34 * 1024,
-                                         queue::ThresholdUnit::kBytes)
-         : core::MarkingConfig::dctcp(32 * 1024,
-                                      queue::ThresholdUnit::kBytes);
+  cfg.testbed.marking = dt ? core::kTestbedDtDctcp : core::kTestbedDctcp;
   return cfg;
 }
 

@@ -26,7 +26,7 @@ fluid::FluidParams bench_params(double flows, bool dynamic_rtt) {
   p.capacity_pps = 833333.0;  // 10 Gbps at 1.5 KB
   p.flows = flows;
   p.rtt = 1e-4;
-  p.marking = fluid::MarkingSpec::hysteresis(15.0, 25.0);
+  p.marking = queue::MarkingRule::dt_dctcp(15.0, 25.0);
   p.dynamic_rtt = dynamic_rtt;
   return p;
 }

@@ -32,8 +32,8 @@ inline core::DumbbellConfig sweep_config(std::size_t flows, bool dt) {
   cfg.bottleneck_bps = units::gbps(10);
   cfg.edge_bps = units::gbps(10);
   cfg.rtt = units::microseconds(100);
-  cfg.marking = dt ? core::MarkingConfig::dt_dctcp(30.0, 50.0)
-                   : core::MarkingConfig::dctcp(40.0);
+  cfg.marking = dt ? queue::MarkingRule::dt_dctcp(30.0, 50.0)
+                   : queue::MarkingRule::dctcp(40.0);
   cfg.tcp.mode = tcp::CcMode::kDctcp;
   cfg.tcp.dctcp_g = 1.0 / 16.0;
   cfg.switch_buffer_packets = 100;
@@ -72,9 +72,7 @@ inline std::vector<SweepPoint> run_flow_sweep() {
         const std::size_t variant = job % kVariants;
         auto cfg = sweep_config(flow_counts[i], /*dt=*/variant != 0);
         if (variant == 2) {
-          cfg.marking = core::MarkingConfig::dt_dctcp(
-              30.0, 50.0, queue::ThresholdUnit::kPackets,
-              queue::HysteresisVariant::kHalfBand);
+          cfg.marking.variant = queue::HysteresisVariant::kHalfBand;
         }
         cfg.seed = derive_seed(kSweepSeed, job);
         const auto result = core::run_dumbbell(cfg);

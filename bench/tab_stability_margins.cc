@@ -34,8 +34,8 @@ struct FluidCheck {
 FluidCheck run_fluid_check(int n, bool dt) {
   PlantParams p = plant(1e-3);
   p.flows = n;
-  const auto spec = dt ? fluid::MarkingSpec::hysteresis(30.0, 50.0)
-                       : fluid::MarkingSpec::single(40.0);
+  const auto spec = dt ? queue::MarkingRule::dt_dctcp(30.0, 50.0)
+                       : queue::MarkingRule::dctcp(40.0);
   const auto r = analysis::analyze(p, spec);
   FluidCheck out;
   for (const auto& c : r.cycles) {
@@ -73,8 +73,8 @@ int main() {
       rtts.size() * 2,
       [&](std::size_t job) {
         const auto spec = job % 2 == 0
-                              ? fluid::MarkingSpec::single(40.0)
-                              : fluid::MarkingSpec::hysteresis(30.0, 50.0);
+                              ? queue::MarkingRule::dctcp(40.0)
+                              : queue::MarkingRule::dt_dctcp(30.0, 50.0);
         return analysis::critical_flows(plant(rtts[job / 2]), spec, 5, 400);
       },
       bench::runner_options("critN"));
@@ -94,8 +94,8 @@ int main() {
     for (int dt = 0; dt < 2; ++dt) {
       PlantParams p = plant(1e-3);
       p.flows = n;
-      const auto spec = dt ? fluid::MarkingSpec::hysteresis(30.0, 50.0)
-                           : fluid::MarkingSpec::single(40.0);
+      const auto spec = dt ? queue::MarkingRule::dt_dctcp(30.0, 50.0)
+                           : queue::MarkingRule::dctcp(40.0);
       const auto r = analysis::analyze(p, spec);
       if (r.cycles.empty()) {
         std::printf("%5d %10s |       stable\n", n, dt ? "DT" : "DC");

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   cfg.bottleneck_bps = units::gbps(10);
   cfg.rtt = rtt;
   cfg.switch_buffer_packets = 100;
-  cfg.marking = core::MarkingConfig::dctcp(40.0);
+  cfg.marking = queue::MarkingRule::dctcp(40.0);
   cfg.warmup = 0.05;
   cfg.measure = 0.05;
   cfg.trace_queue = true;
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   fp.flows = static_cast<double>(flows);
   fp.rtt = rtt;
   fp.g = 1.0 / 16.0;
-  fp.marking = cfg.marking.fluid_spec(1500);
+  fp.marking = cfg.marking.in_packets(1500);
   fp.dynamic_rtt = true;
   fluid::FluidModel model(fp);
   model.run(0.05);  // transient

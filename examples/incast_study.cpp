@@ -28,10 +28,10 @@ int main(int argc, char** argv) {
     cfg.tcp.init_rto = 0.2;
 
     cfg.testbed.marking =
-        core::MarkingConfig::dctcp(32 * 1024, queue::ThresholdUnit::kBytes);
+        queue::MarkingRule::dctcp(32 * 1024, queue::ThresholdUnit::kBytes);
     const auto dc = core::run_incast(cfg);
 
-    cfg.testbed.marking = core::MarkingConfig::dt_dctcp(
+    cfg.testbed.marking = queue::MarkingRule::dt_dctcp(
         28 * 1024, 34 * 1024, queue::ThresholdUnit::kBytes);
     const auto dt = core::run_incast(cfg);
 

@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
   fab_cfg.host_link_bps = units::gbps(1);
   fab_cfg.fabric_link_bps = units::gbps(4);
   auto fab = sim::build_leaf_spine(
-      fab_cfg, queue::ecn_hysteresis(0, 250, 15.0, 25.0,
-                                     queue::ThresholdUnit::kPackets));
+      fab_cfg, queue::MarkingRule::dt_dctcp(15.0, 25.0).queue_factory(0, 250));
 
   tcp::TcpConfig tcp_cfg;
   tcp_cfg.mode = tcp::CcMode::kDctcp;

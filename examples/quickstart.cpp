@@ -18,8 +18,8 @@ int main() {
     cfg.bottleneck_bps = units::gbps(10);
     cfg.rtt = units::microseconds(100);
     cfg.switch_buffer_packets = 100;
-    cfg.marking = use_dt ? core::MarkingConfig::dt_dctcp(30.0, 50.0)
-                         : core::MarkingConfig::dctcp(40.0);
+    cfg.marking = use_dt ? queue::MarkingRule::dt_dctcp(30.0, 50.0)
+                         : queue::MarkingRule::dctcp(40.0);
     cfg.warmup = 0.05;
     cfg.measure = 0.2;
 

@@ -24,10 +24,10 @@ int main(int argc, char** argv) {
   std::printf("Plant: C=%.0f pkts/s, N=%.0f, R0=%.2f ms, g=1/16\n",
               plant.capacity_pps, flows, rtt * 1e3);
 
-  const auto specs = {fluid::MarkingSpec::single(40.0),
-                      fluid::MarkingSpec::hysteresis(30.0, 50.0)};
+  const auto specs = {queue::MarkingRule::dctcp(40.0),
+                      queue::MarkingRule::dt_dctcp(30.0, 50.0)};
   for (const auto& spec : specs) {
-    const char* name = spec.kind == fluid::MarkingKind::kHysteresis
+    const char* name = spec.kind == queue::MarkingKind::kHysteresis
                            ? "DT-DCTCP"
                            : "DCTCP";
     const auto report = analysis::analyze(plant, spec);
@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
   }
 
   const int ndc = analysis::critical_flows(
-      plant, fluid::MarkingSpec::single(40.0), 5, 300);
+      plant, queue::MarkingRule::dctcp(40.0), 5, 300);
   const int ndt = analysis::critical_flows(
-      plant, fluid::MarkingSpec::hysteresis(30.0, 50.0), 5, 300);
+      plant, queue::MarkingRule::dt_dctcp(30.0, 50.0), 5, 300);
   std::printf("\nCritical flow count at this RTT: DCTCP %d, DT-DCTCP %d "
               "(larger = more stable)\n",
               ndc, ndt);

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "fluid/marking.h"
+
 namespace dtdctcp::analysis {
 
 Complex df_dctcp(double amplitude, double k) {
@@ -47,28 +49,27 @@ double ramp_s(double t, double x) {
 
 }  // namespace
 
-Complex df_red(double amplitude, const fluid::MarkingSpec& spec) {
-  assert(spec.kind == fluid::MarkingKind::kRedRamp);
+Complex df_red(double amplitude, const queue::RedConfig& red) {
   assert(amplitude > 0.0);
-  const double a = spec.k_start;
-  const double b = spec.k_stop;
+  const double a = red.min_th;
+  const double b = red.max_th;
   const double x = amplitude;
   // Piecewise-linear decomposition of the effective probability
-  // min(2 * ramp(q), 1) — see MarkingSpec::red_effective_probability.
-  const double m1 = 2.0 * spec.red_max_p / (b - a);
+  // min(2 * ramp(q), 1) — see fluid::red_effective_probability.
+  const double m1 = 2.0 * red.max_p / (b - a);
   double b1 = 0.0;
   const double q1 = a + 1.0 / m1;  // where the doubled first ramp hits 1
   if (q1 <= b) {
     b1 += m1 * (ramp_s(a, x) - ramp_s(q1, x));
-  } else if (spec.red_gentle) {
+  } else if (red.gentle) {
     b1 += m1 * (ramp_s(a, x) - ramp_s(b, x));
-    const double m2 = 2.0 * (1.0 - spec.red_max_p) / b;
+    const double m2 = 2.0 * (1.0 - red.max_p) / b;
     // The doubled gentle ramp always saturates before 2*max_th.
-    const double q2 = b + (1.0 - 2.0 * spec.red_max_p) / m2;
+    const double q2 = b + (1.0 - 2.0 * red.max_p) / m2;
     b1 += m2 * (ramp_s(b, x) - ramp_s(q2, x));
   } else {
     b1 += m1 * (ramp_s(a, x) - ramp_s(b, x));
-    b1 += (1.0 - 2.0 * spec.red_max_p) * step_u(b, x) / M_PI;
+    b1 += (1.0 - 2.0 * red.max_p) * step_u(b, x) / M_PI;
   }
   return Complex(b1 / x, 0.0);
 }
@@ -80,46 +81,6 @@ Complex df_saturation(double amplitude, double limit) {
   const double n =
       2.0 / M_PI * (std::asin(rho) + rho * std::sqrt(1.0 - rho * rho));
   return Complex(n, 0.0);
-}
-
-double characteristic_gain(const fluid::MarkingSpec& spec) {
-  switch (spec.kind) {
-    case fluid::MarkingKind::kRedRamp:
-      // The (Floyd-doubled) ramp slope, the loop gain RED contributes
-      // around its operating point.
-      return 2.0 * spec.red_max_p / (spec.k_stop - spec.k_start);
-    case fluid::MarkingKind::kPie:
-      // PIE's gain lives entirely in its linear PI filter.
-      return 1.0;
-    case fluid::MarkingKind::kSingle:
-    case fluid::MarkingKind::kHysteresis:
-      break;
-  }
-  // K0 = 1/K for the relay (Eq. 19), 1/K2 for the hysteresis (Eq. 24).
-  return 1.0 / spec.k_stop;
-}
-
-Complex relative_df(const fluid::MarkingSpec& spec, double amplitude) {
-  assert(spec.kind != fluid::MarkingKind::kPie &&
-         "PIE's DF depends on the plant operating point; use MarkingModel");
-  Complex n;
-  switch (spec.kind) {
-    case fluid::MarkingKind::kHysteresis:
-      n = df_dtdctcp(amplitude, spec.k_start, spec.k_stop);
-      break;
-    case fluid::MarkingKind::kRedRamp:
-      n = df_red(amplitude, spec);
-      break;
-    default:
-      n = df_dctcp(amplitude, spec.k_start);
-      break;
-  }
-  return n / characteristic_gain(spec);
-}
-
-Complex neg_recip_relative_df(const fluid::MarkingSpec& spec,
-                              double amplitude) {
-  return -1.0 / relative_df(spec, amplitude);
 }
 
 double max_real_of_locus(const std::function<Complex(double)>& neg_recip,
@@ -163,14 +124,7 @@ double max_real_of_locus(const std::function<Complex(double)>& neg_recip,
   return best;
 }
 
-double max_real_neg_recip(const fluid::MarkingSpec& spec, double x_min,
-                          double x_max, double* arg_x) {
-  return max_real_of_locus(
-      [&spec](double x) { return neg_recip_relative_df(spec, x); }, x_min,
-      x_max, arg_x);
-}
-
-Complex numeric_df(const fluid::MarkingSpec& spec, double amplitude,
+Complex numeric_df(const queue::MarkingRule& spec, double amplitude,
                    double bias, int samples_per_cycle) {
   // Continuous-limit trend margin: the sine is noiseless, so the
   // automaton only needs an infinitesimal hysteresis in its peak/trough

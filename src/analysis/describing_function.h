@@ -17,7 +17,7 @@
 //
 // RED ramp: the effective marking probability is a one-sided piecewise-
 // linear map of the (filtered) queue — see
-// fluid::MarkingSpec::red_effective_probability. Its first-harmonic DF
+// fluid::red_effective_probability. Its first-harmonic DF
 // for an input X sin(wt), thresholds measured from the sine's center
 // like the relay's, is real and closed-form: each clamped ramp segment
 // [c, d) of slope m contributes m [S(c) - S(d)] / X and each step of
@@ -36,9 +36,9 @@
 //   N_sat(A) = 1                                       for A <= L,
 //   N_sat(A) = (2/pi) [asin(L/A) + (L/A) sqrt(1-(L/A)^2)]  for A > L,
 // with K0 = 1 (the controller's gain is in the linear loop filter).
-// Since p0 depends on the plant operating point, the PIE pieces are
-// assembled by analysis::MarkingModel, not by the spec-only helpers
-// below.
+// Since p0 depends on the plant operating point, the pieces are
+// assembled by analysis::MarkingModel — the one place a marking rule
+// becomes a DF, with its relative DF N0 = N/K0 and locus -1/N0.
 //
 // `numeric_df` computes the same quantity by direct Fourier quadrature
 // of the stateful nonlinearity driven by a sinusoid; the tests use it to
@@ -49,7 +49,7 @@
 #include <complex>
 #include <functional>
 
-#include "fluid/marking.h"
+#include "queue/marking_rule.h"
 
 namespace dtdctcp::analysis {
 
@@ -63,37 +63,20 @@ Complex df_dtdctcp(double amplitude, double k1, double k2);
 
 /// Closed-form DF of the RED ramp (the *effective* probability of
 /// queue::RedQueue, Floyd-doubled and clamped at 1 — see
-/// fluid::MarkingSpec::red_effective_probability). Real-valued; defined
-/// for every X > 0 but identically zero until X exceeds min_th.
-Complex df_red(double amplitude, const fluid::MarkingSpec& spec);
+/// fluid::red_effective_probability). Real-valued; defined for every
+/// X > 0 but identically zero until X exceeds min_th.
+Complex df_red(double amplitude, const queue::RedConfig& red);
 
 /// Closed-form DF of a unit-slope symmetric saturation with limit L:
 /// 1 for A <= L, shrinking as (2/pi)(asin(L/A) + (L/A)sqrt(1-(L/A)^2))
 /// beyond. Real-valued, in (0, 1].
 Complex df_saturation(double amplitude, double limit);
 
-/// Relative DF N0(X) = K0^-1 * N(X) (Eq. 8) for the spec-only rules
-/// (relay, hysteresis, RED ramp). kPie needs the plant operating point;
-/// use analysis::MarkingModel.
-Complex relative_df(const fluid::MarkingSpec& spec, double amplitude);
-
-/// Characteristic gain K0 (1/K for DCTCP, 1/K2 for DT-DCTCP, the
-/// Floyd-doubled ramp slope for RED).
-double characteristic_gain(const fluid::MarkingSpec& spec);
-
-/// -1/N0(X); the locus compared against K0*G(jw).
-Complex neg_recip_relative_df(const fluid::MarkingSpec& spec,
-                              double amplitude);
-
-/// Largest real part attained by -1/N0(X) over X in [X_min, X_max]
-/// (paper: max(-1/N0dc) = -pi at X = K*sqrt(2)). Returns the argmax
-/// through `arg_x` when non-null. Degenerate inputs (x_min <= 0 or
+/// Largest real part attained by a -1/N0(X) locus (e.g.
+/// MarkingModel::neg_recip) over X in [X_min, X_max] (paper:
+/// max(-1/N0dc) = -pi at X = K*sqrt(2)). Returns the argmax through
+/// `arg_x` when non-null. Degenerate inputs (x_min <= 0 or
 /// x_max <= x_min) are clamped rather than propagating NaN.
-double max_real_neg_recip(const fluid::MarkingSpec& spec, double x_min,
-                          double x_max, double* arg_x = nullptr);
-
-/// Generic form of the scan above for any -1/N0(x) locus (used by
-/// MarkingModel for the plant-dependent PIE locus).
 double max_real_of_locus(const std::function<Complex(double)>& neg_recip,
                          double x_min, double x_max,
                          double* arg_x = nullptr);
@@ -104,8 +87,8 @@ double max_real_of_locus(const std::function<Complex(double)>& neg_recip,
 /// orthogonal to the fundamental and drops out). The paper's closed
 /// forms measure thresholds from the sine's center, i.e. bias = 0;
 /// non-zero bias explores the regimes the closed forms exclude.
-/// Supports every fluid::MarkingAutomaton rule (not kPie).
-Complex numeric_df(const fluid::MarkingSpec& spec, double amplitude,
+/// Supports every rule fluid::MarkingAutomaton models (not PIE).
+Complex numeric_df(const queue::MarkingRule& spec, double amplitude,
                    double bias, int samples_per_cycle = 20000);
 
 }  // namespace dtdctcp::analysis

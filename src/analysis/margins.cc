@@ -7,7 +7,7 @@
 namespace dtdctcp::analysis {
 
 Margins stability_margins(const PlantParams& plant,
-                          const fluid::MarkingSpec& marking, double w_lo,
+                          const queue::MarkingRule& marking, double w_lo,
                           double w_hi) {
   Margins m;
   const MarkingModel model = MarkingModel::make(marking, plant);

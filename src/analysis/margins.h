@@ -20,7 +20,7 @@
 
 #include "analysis/describing_function.h"
 #include "analysis/transfer_function.h"
-#include "fluid/marking.h"
+#include "queue/marking_rule.h"
 
 namespace dtdctcp::analysis {
 
@@ -35,7 +35,7 @@ struct Margins {
 
 /// Computes the margins of plant+marking over [w_lo, w_hi].
 Margins stability_margins(const PlantParams& plant,
-                          const fluid::MarkingSpec& marking,
+                          const queue::MarkingRule& marking,
                           double w_lo = 1.0, double w_hi = 1e7);
 
 }  // namespace dtdctcp::analysis

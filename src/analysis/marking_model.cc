@@ -6,25 +6,30 @@
 
 namespace dtdctcp::analysis {
 
-MarkingModel MarkingModel::make(const fluid::MarkingSpec& spec,
+MarkingModel MarkingModel::make(const queue::MarkingRule& spec,
                                 const PlantParams& plant) {
+  assert(supports(spec) && spec.unit == queue::ThresholdUnit::kPackets);
   MarkingModel m;
   m.spec = spec;
   m.plant = plant;
   switch (spec.kind) {
-    case fluid::MarkingKind::kSingle:
-    case fluid::MarkingKind::kHysteresis:
-      m.k0 = characteristic_gain(spec);
+    case queue::MarkingKind::kThreshold:
+    case queue::MarkingKind::kHysteresis:
+      // K0 = 1/K for the relay (Eq. 19), 1/K2 for the hysteresis (Eq. 24).
+      m.k0 = 1.0 / spec.k_stop;
       m.x_min = spec.k_stop;
       break;
-    case fluid::MarkingKind::kRedRamp:
-      m.k0 = characteristic_gain(spec);
-      m.x_min = spec.k_start;
+    case queue::MarkingKind::kRed:
+      // The (Floyd-doubled) ramp slope, the loop gain RED contributes
+      // around its operating point.
+      m.k0 = 2.0 * spec.red.max_p / (spec.red.max_th - spec.red.min_th);
+      m.x_min = spec.red.min_th;
       // EWMA updated once per arrival, ~C arrivals/s: a first-order lag
       // with pole at w_q * C.
-      m.tau = 1.0 / std::max(1e-9, spec.red_weight * plant.capacity_pps);
+      m.tau = 1.0 / std::max(1e-9, spec.red.weight * plant.capacity_pps);
       break;
-    case fluid::MarkingKind::kPie: {
+    case queue::MarkingKind::kPie: {
+      // PIE's gain lives entirely in its linear PI filter (K0 = 1).
       m.pie = true;
       m.k0 = 1.0;
       // Steady-state marking probability of the congestion controller
@@ -42,20 +47,24 @@ MarkingModel MarkingModel::make(const fluid::MarkingSpec& spec,
       m.x_min = m.sat_limit;
       break;
     }
+    default:
+      break;
   }
   return m;
 }
 
 Complex MarkingModel::df(double x) const {
   switch (spec.kind) {
-    case fluid::MarkingKind::kSingle:
+    case queue::MarkingKind::kThreshold:
       return df_dctcp(x, spec.k_start);
-    case fluid::MarkingKind::kHysteresis:
+    case queue::MarkingKind::kHysteresis:
       return df_dtdctcp(x, spec.k_start, spec.k_stop);
-    case fluid::MarkingKind::kRedRamp:
-      return df_red(x, spec);
-    case fluid::MarkingKind::kPie:
+    case queue::MarkingKind::kRed:
+      return df_red(x, spec.red);
+    case queue::MarkingKind::kPie:
       return df_saturation(x, sat_limit);
+    default:
+      break;
   }
   return Complex(0.0, 0.0);
 }
@@ -67,15 +76,15 @@ Complex MarkingModel::filter(double w) const {
     // time dp/dt = (alpha/T) e + (beta/T) de/dt, i.e.
     // H(s) = (beta + alpha/s) / T, times 1/C for the queue -> delay
     // conversion.
-    return Complex(spec.pie_beta, -spec.pie_alpha / w) /
-           (spec.pie_update_interval * plant.capacity_pps);
+    return Complex(spec.pie.beta, -spec.pie.alpha / w) /
+           (spec.pie.update_interval * plant.capacity_pps);
   }
   if (tau > 0.0) return 1.0 / Complex(1.0, w * tau);
   return Complex(1.0, 0.0);
 }
 
 double MarkingModel::filter_phase(double w) const {
-  if (pie) return -std::atan2(spec.pie_alpha / w, spec.pie_beta);
+  if (pie) return -std::atan2(spec.pie.alpha / w, spec.pie.beta);
   if (tau > 0.0) return -std::atan2(w * tau, 1.0);
   return 0.0;
 }
@@ -92,7 +101,7 @@ double MarkingModel::queue_amplitude(double x, double w) const {
 }
 
 double MarkingModel::operating_queue() const {
-  if (pie) return spec.pie_target_delay * plant.capacity_pps;
+  if (pie) return spec.pie.target_delay * plant.capacity_pps;
   return spec.midpoint();
 }
 

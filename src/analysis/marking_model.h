@@ -27,17 +27,26 @@
 
 #include "analysis/describing_function.h"
 #include "analysis/transfer_function.h"
-#include "fluid/marking.h"
+#include "queue/marking_rule.h"
 
 namespace dtdctcp::analysis {
 
 struct MarkingModel {
-  /// Assembles the loop model; `plant` supplies the operating point
-  /// (PIE's p0 and both AQMs' filter constants scale with C, R0, N).
-  static MarkingModel make(const fluid::MarkingSpec& spec,
+  /// Whether the rule has a loop model: every kind that marks on the
+  /// queue (threshold, hysteresis, RED, PIE); drop-tail and CoDel do not.
+  static bool supports(const queue::MarkingRule& rule) {
+    return rule.kind != queue::MarkingKind::kDropTail &&
+           rule.kind != queue::MarkingKind::kCodel;
+  }
+
+  /// Assembles the loop model of a supported rule in packets (see
+  /// MarkingRule::in_packets) — the one place a marking rule becomes a
+  /// DF. `plant` supplies the operating point (PIE's p0 and both AQMs'
+  /// filter constants scale with C, R0, N).
+  static MarkingModel make(const queue::MarkingRule& spec,
                            const PlantParams& plant);
 
-  fluid::MarkingSpec spec;
+  queue::MarkingRule spec;
   PlantParams plant;
   double k0 = 1.0;         ///< characteristic gain
   double x_min = 0.0;      ///< DF engagement bound at the nonlinearity input

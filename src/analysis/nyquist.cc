@@ -44,7 +44,7 @@ bool newton_refine(const MarkingModel& m, double& x, double& w, double x_min,
 }  // namespace
 
 StabilityReport analyze(const PlantParams& plant,
-                        const fluid::MarkingSpec& marking,
+                        const queue::MarkingRule& marking,
                         const SolverOptions& opt) {
   StabilityReport report;
   const MarkingModel model = MarkingModel::make(marking, plant);
@@ -151,7 +151,7 @@ StabilityReport analyze(const PlantParams& plant,
 }
 
 CriticalFlows critical_flows_bracket(PlantParams plant,
-                                     const fluid::MarkingSpec& marking,
+                                     const queue::MarkingRule& marking,
                                      int n_lo, int n_hi,
                                      const SolverOptions& opt) {
   CriticalFlows result;
@@ -186,13 +186,13 @@ CriticalFlows critical_flows_bracket(PlantParams plant,
   return result;
 }
 
-int critical_flows(PlantParams plant, const fluid::MarkingSpec& marking,
+int critical_flows(PlantParams plant, const queue::MarkingRule& marking,
                    int n_lo, int n_hi, const SolverOptions& opt) {
   return critical_flows_bracket(plant, marking, n_lo, n_hi, opt).critical_n;
 }
 
 std::vector<std::pair<double, Complex>> sample_plant_locus(
-    const PlantParams& plant, const fluid::MarkingSpec& marking, double w_lo,
+    const PlantParams& plant, const queue::MarkingRule& marking, double w_lo,
     double w_hi, int count) {
   std::vector<std::pair<double, Complex>> out;
   if (count <= 0) return out;
@@ -231,13 +231,13 @@ std::vector<std::pair<double, Complex>> sample_locus(
 }  // namespace
 
 std::vector<std::pair<double, Complex>> sample_df_locus(
-    const fluid::MarkingSpec& marking, double x_max_factor, int count) {
+    const queue::MarkingRule& marking, double x_max_factor, int count) {
   return sample_locus(MarkingModel::make(marking, PlantParams{}),
                       x_max_factor, count);
 }
 
 std::vector<std::pair<double, Complex>> sample_df_locus(
-    const PlantParams& plant, const fluid::MarkingSpec& marking,
+    const PlantParams& plant, const queue::MarkingRule& marking,
     double x_max_factor, int count) {
   return sample_locus(MarkingModel::make(marking, plant), x_max_factor,
                       count);

@@ -17,7 +17,7 @@
 #include "analysis/describing_function.h"
 #include "analysis/marking_model.h"
 #include "analysis/transfer_function.h"
-#include "fluid/marking.h"
+#include "queue/marking_rule.h"
 
 namespace dtdctcp::analysis {
 
@@ -53,7 +53,7 @@ struct SolverOptions {
 
 /// Full DF stability analysis of the marking rule against the plant.
 StabilityReport analyze(const PlantParams& plant,
-                        const fluid::MarkingSpec& marking,
+                        const queue::MarkingRule& marking,
                         const SolverOptions& opt = {});
 
 /// Result of the onset search: the bracketing pair around the
@@ -74,20 +74,20 @@ struct CriticalFlows {
 /// during the search. Costs O(log(n_hi - n_lo)) solver calls instead of
 /// the O(n) full scan this replaced.
 CriticalFlows critical_flows_bracket(PlantParams plant,
-                                     const fluid::MarkingSpec& marking,
+                                     const queue::MarkingRule& marking,
                                      int n_lo, int n_hi,
                                      const SolverOptions& opt = {});
 
 /// Smallest integer flow count in [n_lo, n_hi] for which a limit cycle
 /// is predicted; -1 when none intersects in the range.
-int critical_flows(PlantParams plant, const fluid::MarkingSpec& marking,
+int critical_flows(PlantParams plant, const queue::MarkingRule& marking,
                    int n_lo, int n_hi, const SolverOptions& opt = {});
 
 /// Samples K0*G(jw)*H(jw) at `count` log-spaced frequencies (for
 /// Nyquist plots / Fig. 9 output). count <= 0 returns an empty vector;
 /// count == 1 samples w_lo.
 std::vector<std::pair<double, Complex>> sample_plant_locus(
-    const PlantParams& plant, const fluid::MarkingSpec& marking, double w_lo,
+    const PlantParams& plant, const queue::MarkingRule& marking, double w_lo,
     double w_hi, int count);
 
 /// Samples -1/N0(X) at `count` log-spaced amplitudes starting just above
@@ -95,12 +95,12 @@ std::vector<std::pair<double, Complex>> sample_plant_locus(
 /// to a single-amplitude locus). Spec-only rules; kPie needs the plant
 /// overload.
 std::vector<std::pair<double, Complex>> sample_df_locus(
-    const fluid::MarkingSpec& marking, double x_max_factor, int count);
+    const queue::MarkingRule& marking, double x_max_factor, int count);
 
 /// Same against an explicit plant (required for kPie, whose clamp limit
 /// depends on the operating point).
 std::vector<std::pair<double, Complex>> sample_df_locus(
-    const PlantParams& plant, const fluid::MarkingSpec& marking,
+    const PlantParams& plant, const queue::MarkingRule& marking,
     double x_max_factor, int count);
 
 }  // namespace dtdctcp::analysis

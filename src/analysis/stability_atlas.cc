@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "util/csv.h"
 
@@ -32,7 +31,7 @@ AtlasCell predict_atlas_cell(const AtlasConfig& cfg, AtlasCell cell,
   cell.omega = 0.0;
 
   const PlantParams plant = atlas_plant(cfg, cell, flows);
-  const StabilityReport report = analyze(plant, cell.spec, cfg.solver);
+  const StabilityReport report = analyze(plant, cell.marking, cfg.solver);
   cell.intersects = report.intersects;
   for (const auto& lc : report.cycles) {
     if (!lc.stable) continue;
@@ -43,7 +42,7 @@ AtlasCell predict_atlas_cell(const AtlasConfig& cfg, AtlasCell cell,
   }
   cell.max_re_locus = report.max_real_neg_recip;
 
-  const MarkingModel model = MarkingModel::make(cell.spec, plant);
+  const MarkingModel model = MarkingModel::make(cell.marking, plant);
   cell.operating_queue = model.operating_queue();
   cell.clipped =
       cell.intersects &&
@@ -51,14 +50,14 @@ AtlasCell predict_atlas_cell(const AtlasConfig& cfg, AtlasCell cell,
        cell.amplitude_pkts > cell.operating_queue);
 
   cell.gain_margin_db =
-      stability_margins(plant, cell.spec, cfg.solver.w_lo, cfg.solver.w_hi)
+      stability_margins(plant, cell.marking, cfg.solver.w_lo, cfg.solver.w_hi)
           .gain_margin_db;
   return cell;
 }
 
 AtlasCell analyze_atlas_cell(const AtlasConfig& cfg, AtlasCell cell) {
   cell.onset = critical_flows_bracket(atlas_plant(cfg, cell, cfg.n_lo),
-                                      cell.spec, cfg.n_lo, cfg.n_hi,
+                                      cell.marking, cfg.n_lo, cfg.n_hi,
                                       cfg.solver);
   const CriticalFlows onset = cell.onset;
   cell = predict_atlas_cell(
@@ -87,13 +86,13 @@ Atlas run_stability_atlas(const AtlasConfig& cfg,
   std::vector<AtlasCell> grid;
   grid.reserve(cfg.markings.size() * cfg.ccs.size() * cfg.rtts.size() *
                cfg.rates_bps.size() * cfg.buffers_pkts.size());
-  for (const auto& spec : cfg.markings) {
+  for (const auto& marking : cfg.markings) {
     for (CcVariant cc : cfg.ccs) {
       for (double rtt : cfg.rtts) {
         for (double rate : cfg.rates_bps) {
           for (double buffer : cfg.buffers_pkts) {
             AtlasCell cell;
-            cell.spec = spec;
+            cell.marking = marking;
             cell.cc = cc;
             cell.rtt = rtt;
             cell.rate_bps = rate;
@@ -112,27 +111,6 @@ Atlas run_stability_atlas(const AtlasConfig& cfg,
   return atlas;
 }
 
-std::string marking_label(const fluid::MarkingSpec& spec) {
-  char buf[96];
-  switch (spec.kind) {
-    case fluid::MarkingKind::kSingle:
-      std::snprintf(buf, sizeof(buf), "dctcp:%g", spec.k_stop);
-      break;
-    case fluid::MarkingKind::kHysteresis:
-      std::snprintf(buf, sizeof(buf), "dt:%g,%g", spec.k_start, spec.k_stop);
-      break;
-    case fluid::MarkingKind::kRedRamp:
-      std::snprintf(buf, sizeof(buf), "red:%g,%g", spec.k_start,
-                    spec.k_stop);
-      break;
-    case fluid::MarkingKind::kPie:
-      std::snprintf(buf, sizeof(buf), "pie:%gus",
-                    spec.pie_target_delay * 1e6);
-      break;
-  }
-  return buf;
-}
-
 const char* cc_label(CcVariant cc) {
   switch (cc) {
     case CcVariant::kDctcp:
@@ -145,48 +123,6 @@ const char* cc_label(CcVariant cc) {
   return "?";
 }
 
-bool parse_marking_label(const std::string& label, fluid::MarkingSpec* out) {
-  const auto colon = label.find(':');
-  const std::string head = label.substr(0, colon);
-  std::vector<double> args;
-  if (colon != std::string::npos) {
-    std::istringstream rest(label.substr(colon + 1));
-    std::string tok;
-    while (std::getline(rest, tok, ',')) {
-      // Accept a trailing unit on PIE targets ("pie:50us").
-      const auto end = tok.find_first_not_of("0123456789.eE+-");
-      try {
-        args.push_back(std::stod(tok.substr(0, end)));
-      } catch (...) {
-        return false;
-      }
-    }
-  }
-  if (head == "dctcp" && args.size() == 1) {
-    *out = fluid::MarkingSpec::single(args[0]);
-    return true;
-  }
-  if (head == "dt" && args.size() == 2 && args[0] < args[1]) {
-    *out = fluid::MarkingSpec::hysteresis(args[0], args[1]);
-    return true;
-  }
-  if (head == "red" && args.size() >= 2 && args.size() <= 5 &&
-      args[0] < args[1]) {
-    *out = fluid::MarkingSpec::red(args[0], args[1],
-                                   args.size() > 2 ? args[2] : 0.1);
-    if (args.size() > 3) out->red_gentle = args[3] != 0.0;
-    if (args.size() > 4) out->red_weight = args[4];
-    return true;
-  }
-  if (head == "pie" && args.size() <= 3) {
-    *out = fluid::MarkingSpec::pie(args.empty() ? 50e-6 : args[0] * 1e-6);
-    if (args.size() > 1) out->pie_alpha = args[1];
-    if (args.size() > 2) out->pie_beta = args[2];
-    return true;
-  }
-  return false;
-}
-
 void write_atlas_csv(const Atlas& atlas, std::ostream& out) {
   CsvWriter csv(out);
   csv.row({"marking", "cc", "rtt_s", "rate_bps", "buffer_pkts",
@@ -195,7 +131,7 @@ void write_atlas_csv(const Atlas& atlas, std::ostream& out) {
            "frequency_hz", "omega", "clipped", "operating_queue",
            "max_re_locus", "gain_margin_db"});
   for (const auto& c : atlas.cells) {
-    csv.row({marking_label(c.spec), cc_label(c.cc),
+    csv.row({c.marking.label(), cc_label(c.cc),
              CsvWriter::format_double(c.rtt),
              CsvWriter::format_double(c.rate_bps),
              CsvWriter::format_double(c.buffer_pkts),
@@ -227,14 +163,14 @@ void write_atlas_gnuplot(const Atlas& atlas, const std::string& csv_name,
          "set key outside right\n"
          "plot ";
   bool first = true;
-  for (const auto& spec : atlas.config.markings) {
+  for (const auto& marking : atlas.config.markings) {
     for (CcVariant cc : atlas.config.ccs) {
       if (!first) out << ", \\\n     ";
       first = false;
       const std::string series =
-          marking_label(spec) + " / " + cc_label(cc);
+          marking.label() + " / " + cc_label(cc);
       out << "'" << csv_name
-          << "' using 3:(strcol(1) eq '" << marking_label(spec)
+          << "' using 3:(strcol(1) eq '" << marking.label()
           << "' && strcol(2) eq '" << cc_label(cc)
           << "' ? ($6 > 0 ? $6 : 1/0) : 1/0) with linespoints title '"
           << series << "'";

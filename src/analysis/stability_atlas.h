@@ -23,13 +23,13 @@
 #include "analysis/margins.h"
 #include "analysis/nyquist.h"
 #include "analysis/transfer_function.h"
-#include "fluid/marking.h"
+#include "queue/marking_rule.h"
 #include "runner/runner.h"
 
 namespace dtdctcp::analysis {
 
 struct AtlasConfig {
-  std::vector<fluid::MarkingSpec> markings;
+  std::vector<queue::MarkingRule> markings;
   std::vector<CcVariant> ccs = {CcVariant::kDctcp};
   std::vector<double> rtts = {1e-3};          ///< seconds
   std::vector<double> rates_bps = {10e9};     ///< bottleneck bandwidth
@@ -52,7 +52,7 @@ struct AtlasConfig {
 
 struct AtlasCell {
   // Inputs (flattened row-major: marking, cc, rtt, rate, buffer).
-  fluid::MarkingSpec spec;
+  queue::MarkingRule marking;  ///< in packets
   CcVariant cc = CcVariant::kDctcp;
   double rtt = 0.0;
   double rate_bps = 0.0;
@@ -113,15 +113,9 @@ double observable_amplitude(const AtlasCell& cell);
 Atlas run_stability_atlas(const AtlasConfig& cfg,
                           const runner::RunnerOptions& opts = {});
 
-/// Compact labels used in tables, CSV, and bench JSON names:
-/// "dctcp:40", "dt:20,40", "red:30,90", "pie:50us".
-std::string marking_label(const fluid::MarkingSpec& spec);
+/// Compact label of a CC variant for tables, CSV, and bench JSON names
+/// (markings print with queue::MarkingRule::label).
 const char* cc_label(CcVariant cc);
-
-/// Parses a marking label back into a spec: "dctcp:K", "dt:K1,K2",
-/// "red:MIN,MAX[,MAXP[,GENTLE 0/1[,WEIGHT]]]",
-/// "pie[:TARGET_US[,ALPHA[,BETA]]]". Returns false on malformed input.
-bool parse_marking_label(const std::string& label, fluid::MarkingSpec* out);
 
 /// Deterministic CSV of every cell (header + one row per cell).
 void write_atlas_csv(const Atlas& atlas, std::ostream& out);

@@ -9,16 +9,12 @@
 #include <vector>
 
 #include "core/dumbbell.h"
-#include "core/marking_config.h"
 #include "fluid/fluid_model.h"
 #include "fluid/marking.h"
 #include "hybrid/fluid_background.h"
 #include "parsim/fabric.h"
-#include "queue/codel.h"
-#include "queue/multi_queue.h"
-#include "queue/ecn_hysteresis.h"
-#include "queue/ecn_threshold.h"
 #include "queue/factory.h"
+#include "queue/multi_queue.h"
 #include "sim/fabric.h"
 #include "sim/leaf_spine.h"
 #include "sim/network.h"
@@ -35,39 +31,6 @@ constexpr std::uint64_t kGenSalt = 0x67656e5f73616c74ULL;   // "gen_salt"
 constexpr std::uint64_t kRunSalt = 0x72756e5f73616c74ULL;   // "run_salt"
 constexpr std::uint64_t kFluidSalt = 0x666c756964313163ULL;
 constexpr std::uint64_t kLargeSalt = 0x6c617267655f6662ULL;  // "large_fb"
-
-queue::ThresholdUnit unit_of(const FuzzScenario& sc) {
-  return sc.byte_unit ? queue::ThresholdUnit::kBytes
-                      : queue::ThresholdUnit::kPackets;
-}
-
-sim::QueueFactory make_disc(const FuzzScenario& sc) {
-  const std::size_t lim = sc.buffer_packets;
-  switch (sc.disc) {
-    case FuzzDisc::kDropTail:
-      return queue::drop_tail(0, lim);
-    case FuzzDisc::kThreshold: {
-      const double k = sc.k1;
-      const queue::ThresholdUnit unit = unit_of(sc);
-      const queue::MarkPoint mp = sc.mark_at_dequeue
-                                      ? queue::MarkPoint::kDequeue
-                                      : queue::MarkPoint::kArrival;
-      return [=] {
-        return std::make_unique<queue::EcnThresholdQueue>(0, lim, k, unit, mp);
-      };
-    }
-    case FuzzDisc::kHysteresis:
-      return queue::ecn_hysteresis(
-          0, lim, sc.k1, sc.k2, unit_of(sc),
-          static_cast<queue::HysteresisVariant>(sc.hysteresis_variant));
-    case FuzzDisc::kCodel:
-      return [=] {
-        return std::make_unique<queue::CodelQueue>(0, lim,
-                                                   queue::CodelConfig{});
-      };
-  }
-  return queue::drop_tail(0, lim);
-}
 
 tcp::TcpConfig make_tcp(const FuzzScenario& sc) {
   tcp::TcpConfig cfg;
@@ -108,6 +71,10 @@ Rig build_rig(const FuzzScenario& sc) {
   const tcp::TcpConfig tcp_cfg = make_tcp(sc);
   const SimTime spread = units::microseconds(sc.start_spread_us);
   const auto edge_queue = queue::drop_tail(0, 0);
+  // Every marking queue of the scenario: the dumbbell/incast bottleneck,
+  // or every fabric switch port.
+  const sim::QueueFactory marking_disc = sc.marking.queue_factory(
+      0, sc.buffer_packets, units::gbps(sc.bottleneck_gbps));
 
   if (sc.topology == FuzzTopology::kLeafSpine) {
     sim::LeafSpineConfig lcfg;
@@ -118,7 +85,7 @@ Rig build_rig(const FuzzScenario& sc) {
     lcfg.fabric_link_bps = units::gbps(sc.bottleneck_gbps);
     lcfg.host_link_delay = units::microseconds(sc.rtt_us) / 4.0;
     lcfg.fabric_link_delay = units::microseconds(sc.rtt_us) / 4.0;
-    rig.fabric = sim::build_leaf_spine(lcfg, make_disc(sc));
+    rig.fabric = sim::build_leaf_spine(lcfg, marking_disc);
     rig.net = rig.fabric.net.get();
 
     const std::int64_t n_hosts =
@@ -152,7 +119,7 @@ Rig build_rig(const FuzzScenario& sc) {
     fcfg.ecmp = sim::EcmpMode::kBalanced;
     fcfg.ecmp_seed = sc.seed;
 
-    sim::QueueFactory disc = make_disc(sc);
+    sim::QueueFactory disc = marking_disc;
     if (sc.priority_classes >= 2) {
       disc = queue::multi_queue(
           static_cast<std::size_t>(sc.priority_classes), disc,
@@ -211,7 +178,7 @@ Rig build_rig(const FuzzScenario& sc) {
   // sink plus the ACK-return ports toward each sender) on one shared
   // DT-managed buffer pool. Host-side queues stay unpooled: they model
   // NIC transmit rings, not switch memory.
-  sim::QueueFactory bneck_disc = make_disc(sc);
+  sim::QueueFactory bneck_disc = marking_disc;
   sim::QueueFactory sw_edge = edge_queue;
   if (sc.pool_capacity_packets > 0) {
     constexpr std::size_t kMtu = 1500;
@@ -259,10 +226,7 @@ Rig build_rig(const FuzzScenario& sc) {
     hybrid::FluidBackgroundConfig hcfg;
     hcfg.flows = sc.hybrid_flows;
     hcfg.rtt = units::microseconds(sc.rtt_us);
-    const double us = sc.byte_unit ? 1500.0 : 1.0;
-    hcfg.marking = sc.disc == FuzzDisc::kHysteresis
-                       ? fluid::MarkingSpec::hysteresis(sc.k1 / us, sc.k2 / us)
-                       : fluid::MarkingSpec::single(sc.k1 / us);
+    hcfg.marking = sc.marking.in_packets(1500.0);
     hcfg.horizon = units::microseconds(sc.hybrid_horizon_us);
     rig.fluid_bg = std::make_unique<hybrid::FluidBackground>(
         hcfg, units::gbps(sc.bottleneck_gbps));
@@ -296,29 +260,14 @@ const char* fuzz_topology_name(FuzzTopology t) {
   return "?";
 }
 
-const char* fuzz_disc_name(FuzzDisc d) {
-  switch (d) {
-    case FuzzDisc::kDropTail:
-      return "droptail";
-    case FuzzDisc::kThreshold:
-      return "threshold";
-    case FuzzDisc::kHysteresis:
-      return "hysteresis";
-    case FuzzDisc::kCodel:
-      return "codel";
-  }
-  return "?";
-}
-
 std::string FuzzScenario::describe() const {
   std::string line = fmt_line(
       "seed=%llu %s/%s flows=%d segs=%lld bneck=%.0fG rtt=%.0fus buf=%zu "
-      "k1=%.0f k2=%.0f%s var=%d mode=%d%s%s%s",
+      "mode=%d%s%s%s",
       static_cast<unsigned long long>(seed), fuzz_topology_name(topology),
-      fuzz_disc_name(disc), flows,
+      marking.label().c_str(), flows,
       static_cast<long long>(segments_per_flow), bottleneck_gbps, rtt_us,
-      buffer_packets, k1, k2, byte_unit ? "B" : "p", hysteresis_variant,
-      tcp_mode, sack ? " sack" : "", pacing ? " pacing" : "",
+      buffer_packets, tcp_mode, sack ? " sack" : "", pacing ? " pacing" : "",
       delayed_ack ? " delack" : "");
   if (pool_capacity_packets > 0) {
     line += fmt_line(" pool=%zu a=%.1f hr=%zu%s", pool_capacity_packets,
@@ -369,10 +318,6 @@ FuzzScenario generate_scenario(std::uint64_t seed) {
                             : FuzzTopology::kIncast;
 
   const double dp = rng.uniform(0.0, 1.0);
-  sc.disc = dp < 0.20   ? FuzzDisc::kDropTail
-            : dp < 0.55 ? FuzzDisc::kThreshold
-            : dp < 0.90 ? FuzzDisc::kHysteresis
-                        : FuzzDisc::kCodel;
 
   const bool incast = sc.topology == FuzzTopology::kIncast;
   sc.flows = static_cast<int>(incast ? rng.uniform_int(4, 24)
@@ -390,12 +335,20 @@ FuzzScenario generate_scenario(std::uint64_t seed) {
 
   double kp1 = rng.uniform(2.0, 64.0);
   double kp2 = rng.bernoulli(0.15) ? kp1 : kp1 + rng.uniform(0.0, 40.0);
-  sc.byte_unit = rng.bernoulli(0.25);
-  const double scale = sc.byte_unit ? 1500.0 : 1.0;
-  sc.k1 = std::floor(kp1) * scale;
-  sc.k2 = std::floor(kp2) * scale;
-  sc.hysteresis_variant = static_cast<int>(rng.uniform_int(0, 2));
-  sc.mark_at_dequeue = rng.bernoulli(0.25);
+  const bool byte_unit = rng.bernoulli(0.25);
+  const double scale = byte_unit ? 1500.0 : 1.0;
+  const double k1 = std::floor(kp1) * scale;
+  const double k2 = std::floor(kp2) * scale;
+  const auto variant =
+      static_cast<queue::HysteresisVariant>(rng.uniform_int(0, 2));
+  const queue::MarkPoint at = rng.bernoulli(0.25) ? queue::MarkPoint::kDequeue
+                                                  : queue::MarkPoint::kArrival;
+  const queue::ThresholdUnit unit = byte_unit ? queue::ThresholdUnit::kBytes
+                                              : queue::ThresholdUnit::kPackets;
+  sc.marking = dp < 0.20   ? queue::MarkingRule::drop_tail()
+               : dp < 0.55 ? queue::MarkingRule::dctcp(k1, unit, at)
+               : dp < 0.90 ? queue::MarkingRule::dt_dctcp(k1, k2, unit, variant)
+                           : queue::MarkingRule::aqm(queue::CodelConfig{});
 
   const double mp = rng.uniform(0.0, 1.0);
   sc.tcp_mode = static_cast<int>(mp < 0.50   ? tcp::CcMode::kDctcp
@@ -451,8 +404,7 @@ FuzzScenario generate_scenario(std::uint64_t seed) {
   // rate scaling, and the checker's fluid_coupled audit — under
   // adversarial thresholds and RTTs.
   if (sc.topology == FuzzTopology::kDumbbell &&
-      (sc.disc == FuzzDisc::kThreshold || sc.disc == FuzzDisc::kHysteresis) &&
-      rng.bernoulli(0.2)) {
+      fluid::MarkingAutomaton::models(sc.marking) && rng.bernoulli(0.2)) {
     sc.hybrid_flows = static_cast<double>(rng.uniform_int(20, 500));
     sc.hybrid_horizon_us = rng.uniform(2000.0, 20000.0);
   }
@@ -634,8 +586,8 @@ FluidCrossResult fluid_cross_check(std::uint64_t seed) {
   const double k = std::max(25.0, rng.uniform(0.5, 0.9) * bdp_pkts);
   const bool hysteresis = rng.bernoulli(0.5);
   dc.marking = hysteresis
-                   ? core::MarkingConfig::dt_dctcp(k, k + rng.uniform(4.0, 12.0))
-                   : core::MarkingConfig::dctcp(k);
+                   ? queue::MarkingRule::dt_dctcp(k, k + rng.uniform(4.0, 12.0))
+                   : queue::MarkingRule::dctcp(k);
   (void)mss;
 
   FluidCrossResult res;
@@ -658,7 +610,7 @@ FluidCrossResult fluid_cross_check(std::uint64_t seed) {
   fp.flows = static_cast<double>(dc.flows);
   fp.rtt = dc.rtt;
   fp.g = dc.tcp.dctcp_g;
-  fp.marking = dc.marking.fluid_spec(dc.tcp.mss_bytes);
+  fp.marking = dc.marking.in_packets(dc.tcp.mss_bytes);
   const fluid::FluidState op = fluid::operating_point(fp);
 
   res.sim_queue_mean = sim.queue_mean;

@@ -2,8 +2,8 @@
 //
 // A FuzzScenario is a fully explicit description of one randomized
 // short simulation: topology (dumbbell / leaf-spine / incast), flow
-// count, link rates, RTT, buffer size, marking discipline and
-// thresholds, TCP mode and options — every field derived
+// count, link rates, RTT, buffer size, marking rule, TCP mode and
+// options — every field derived
 // deterministically from a single seed by generate_scenario(). Running
 // a scenario installs the invariant Checker (check/checker.h) with all
 // checks enabled, drives the finite flows to completion, and audits
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "check/checker.h"
+#include "queue/marking_rule.h"
 #include "util/units.h"
 
 namespace dtdctcp::check {
@@ -30,15 +31,12 @@ enum class FuzzTopology : std::uint8_t {
   kIncast,
   kFatTree,  ///< k-ary fat-tree (sim/fabric.h) with balanced ECMP
 };
-enum class FuzzDisc : std::uint8_t { kDropTail, kThreshold, kHysteresis, kCodel };
 
 const char* fuzz_topology_name(FuzzTopology t);
-const char* fuzz_disc_name(FuzzDisc d);
 
 struct FuzzScenario {
   std::uint64_t seed = 1;
   FuzzTopology topology = FuzzTopology::kDumbbell;
-  FuzzDisc disc = FuzzDisc::kThreshold;
 
   int flows = 8;                      ///< connections (incast: fan-in)
   std::int64_t segments_per_flow = 100;
@@ -47,11 +45,8 @@ struct FuzzScenario {
   double rtt_us = 100.0;              ///< propagation RTT, dumbbell legs
   std::size_t buffer_packets = 0;     ///< bottleneck limit; 0 = unlimited
 
-  bool byte_unit = false;             ///< thresholds in bytes, not packets
-  double k1 = 40.0;                   ///< K (single) / K1 (hysteresis)
-  double k2 = 40.0;                   ///< K2 (hysteresis)
-  int hysteresis_variant = 0;         ///< queue::HysteresisVariant
-  bool mark_at_dequeue = false;       ///< threshold only: MarkPoint::kDequeue
+  /// drop-tail, threshold, hysteresis or CoDel, in packets or bytes
+  queue::MarkingRule marking = queue::MarkingRule::dctcp(40.0);
 
   int tcp_mode = 2;                   ///< tcp::CcMode (default kDctcp)
   bool sack = false;

@@ -1,7 +1,8 @@
 // Umbrella header: the public API of the DT-DCTCP reproduction library.
 //
 // Quick tour:
-//   core::MarkingConfig      — DCTCP vs DT-DCTCP switch marking
+//   queue::MarkingRule       — the switch marking rule: DCTCP's K,
+//                              DT-DCTCP's K1/K2, or a classic AQM
 //   core::run_dumbbell       — N long-lived flows over one bottleneck
 //   core::run_incast         — synchronized fan-in on the paper testbed
 //   fluid::FluidModel        — the delay-differential fluid model
@@ -17,7 +18,6 @@
 #include "analysis/transfer_function.h"
 #include "core/dumbbell.h"
 #include "core/incast_experiment.h"
-#include "core/marking_config.h"
 #include "core/oscillation_probe.h"
 #include "core/testbed.h"
 #include "fluid/fluid_model.h"
@@ -25,6 +25,7 @@
 #include "queue/drop_tail.h"
 #include "queue/ecn_hysteresis.h"
 #include "queue/ecn_threshold.h"
+#include "queue/factory.h"
 #include "queue/red.h"
 #include "sim/leaf_spine.h"
 #include "sim/network.h"

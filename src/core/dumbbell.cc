@@ -7,6 +7,7 @@
 #include "parsim/partition.h"
 #include "parsim/shard_runner.h"
 #include "parsim/sharded_network.h"
+#include "queue/factory.h"
 #include "sim/network.h"
 #include "sim/queue_monitor.h"
 #include "workload/long_lived.h"
@@ -24,11 +25,8 @@ DumbbellResult run_dumbbell(const DumbbellConfig& cfg) {
   sim::Host& sink = net.add_host("sink");
 
   const auto edge_queue = queue::drop_tail(0, 0);
-  const sim::QueueFactory bneck_queue =
-      cfg.bottleneck_override
-          ? cfg.bottleneck_override
-          : cfg.marking.queue_factory(cfg.switch_buffer_bytes,
-                                      cfg.switch_buffer_packets);
+  const sim::QueueFactory bneck_queue = cfg.marking.queue_factory(
+      cfg.switch_buffer_bytes, cfg.switch_buffer_packets, cfg.bottleneck_bps);
   const std::size_t bneck_port = net.attach_host(
       sink, sw, cfg.bottleneck_bps, leg, edge_queue, bneck_queue);
 

@@ -4,7 +4,7 @@
 
 #include <cstdint>
 
-#include "core/marking_config.h"
+#include "queue/marking_rule.h"
 #include "sim/network.h"
 #include "stats/time_series.h"
 #include "stats/time_weighted.h"
@@ -13,21 +13,18 @@
 
 namespace dtdctcp::core {
 
+/// The historical name of queue::MarkingRule, kept for existing callers.
+using MarkingConfig = queue::MarkingRule;
+
 struct DumbbellConfig {
   std::size_t flows = 10;                     ///< N senders
   DataRate bottleneck_bps = units::gbps(10);  ///< switch -> sink link
   DataRate edge_bps = units::gbps(10);        ///< sender -> switch links
   SimTime rtt = units::microseconds(100);     ///< propagation RTT
-  MarkingConfig marking = MarkingConfig::dctcp(40.0);
+  queue::MarkingRule marking = queue::MarkingRule::dctcp(40.0);  ///< bottleneck
   tcp::TcpConfig tcp{};
   std::size_t switch_buffer_packets = 0;  ///< 0 = effectively infinite
   std::size_t switch_buffer_bytes = 0;
-
-  /// When set, installs this discipline on the bottleneck port instead
-  /// of `marking` (used by the protocol-comparison benches to run RED or
-  /// plain drop-tail through the same harness). The buffer limits above
-  /// are the factory's responsibility in that case.
-  sim::QueueFactory bottleneck_override;
 
   SimTime warmup = 0.1;    ///< discarded from statistics
   SimTime measure = 0.4;   ///< measured window after warmup

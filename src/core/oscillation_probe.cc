@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "fluid/fluid_model.h"
-#include "queue/pie.h"
-#include "queue/red.h"
 
 namespace dtdctcp::core {
 
@@ -39,45 +36,10 @@ DumbbellConfig probe_dumbbell_config(const OscillationProbeConfig& cfg) {
   d.seed = cfg.seed;
   d.trace_queue = true;
 
-  const auto limit =
+  d.switch_buffer_packets =
       static_cast<std::size_t>(std::max(1.0, cfg.buffer_pkts));
-  d.switch_buffer_packets = limit;
-  switch (cfg.spec.kind) {
-    case fluid::MarkingKind::kSingle:
-      d.marking = MarkingConfig::dctcp(cfg.spec.k_stop);
-      break;
-    case fluid::MarkingKind::kHysteresis:
-      d.marking =
-          MarkingConfig::dt_dctcp(cfg.spec.k_start, cfg.spec.k_stop);
-      break;
-    case fluid::MarkingKind::kRedRamp: {
-      queue::RedConfig red;
-      red.min_th = cfg.spec.k_start;
-      red.max_th = cfg.spec.k_stop;
-      red.max_p = cfg.spec.red_max_p;
-      red.weight = cfg.spec.red_weight;
-      red.gentle = cfg.spec.red_gentle;
-      red.ecn_mode = true;
-      red.seed = cfg.seed;
-      d.bottleneck_override = [limit, red] {
-        return std::make_unique<queue::RedQueue>(0, limit, red);
-      };
-      break;
-    }
-    case fluid::MarkingKind::kPie: {
-      queue::PieConfig pie;
-      pie.target_delay = cfg.spec.pie_target_delay;
-      pie.update_interval = cfg.spec.pie_update_interval;
-      pie.alpha = cfg.spec.pie_alpha;
-      pie.beta = cfg.spec.pie_beta;
-      pie.seed = cfg.seed;
-      const double rate = cfg.rate_bps;
-      d.bottleneck_override = [limit, pie, rate] {
-        return std::make_unique<queue::PieQueue>(0, limit, pie, rate);
-      };
-      break;
-    }
-  }
+  // RED's and PIE's marking draws follow the run seed.
+  d.marking = cfg.marking.reseeded(cfg.seed);
   return d;
 }
 

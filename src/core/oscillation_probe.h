@@ -16,13 +16,13 @@
 
 #include "analysis/stability_atlas.h"
 #include "core/dumbbell.h"
-#include "fluid/marking.h"
+#include "queue/marking_rule.h"
 #include "stats/oscillation.h"
 
 namespace dtdctcp::core {
 
 struct OscillationProbeConfig {
-  fluid::MarkingSpec spec = fluid::MarkingSpec::single(40.0);
+  queue::MarkingRule marking = queue::MarkingRule::dctcp(40.0);
   analysis::CcVariant cc = analysis::CcVariant::kDctcp;
   std::size_t flows = 10;
   double rate_bps = 10e9;

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "queue/factory.h"
+
 namespace dtdctcp::core {
 
 Testbed build_testbed(const TestbedConfig& cfg) {
@@ -22,7 +24,7 @@ Testbed build_testbed(const TestbedConfig& cfg) {
   tb.aggregator = &agg;
   tb.bottleneck_port = net.attach_host(
       agg, sw1, cfg.link_bps, cfg.host_link_delay, host_nic,
-      cfg.marking.queue_factory(cfg.bottleneck_buffer_bytes, 0));
+      cfg.marking.queue_factory(cfg.bottleneck_buffer_bytes, 0, cfg.link_bps));
 
   // Three edge switches, workers spread round-robin.
   sim::Switch* edges[3] = {nullptr, nullptr, nullptr};

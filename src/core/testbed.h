@@ -13,12 +13,20 @@
 #include <memory>
 #include <vector>
 
-#include "core/marking_config.h"
+#include "queue/marking_rule.h"
 #include "sim/network.h"
 #include "tcp/config.h"
 #include "util/units.h"
 
 namespace dtdctcp::core {
+
+/// The paper's testbed marking on Switch 1's bottleneck port: DCTCP
+/// with K = 32 KB, DT-DCTCP with K1/K2 = 28/34 KB.
+inline constexpr queue::MarkingRule kTestbedDctcp =
+    queue::MarkingRule::dctcp(32 * 1024, queue::ThresholdUnit::kBytes);
+inline constexpr queue::MarkingRule kTestbedDtDctcp =
+    queue::MarkingRule::dt_dctcp(28 * 1024, 34 * 1024,
+                                 queue::ThresholdUnit::kBytes);
 
 struct TestbedConfig {
   std::size_t workers = 9;
@@ -27,8 +35,7 @@ struct TestbedConfig {
   std::size_t edge_buffer_bytes = 512 * 1024;        ///< Switches 2-4
   SimTime host_link_delay = units::microseconds(20);
   SimTime trunk_link_delay = units::microseconds(5);
-  MarkingConfig marking =
-      MarkingConfig::dctcp(32 * 1024, queue::ThresholdUnit::kBytes);
+  queue::MarkingRule marking = kTestbedDctcp;
 };
 
 /// Owns the network and exposes the handles experiments need.

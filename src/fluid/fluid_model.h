@@ -25,7 +25,7 @@ struct FluidParams {
   double flows = 10.0;             ///< N
   double rtt = 1e-4;               ///< R0 seconds
   double g = 1.0 / 16.0;           ///< EWMA gain
-  MarkingSpec marking = MarkingSpec::single(40.0);
+  queue::MarkingRule marking = queue::MarkingRule::dctcp(40.0);  ///< packets
   double w_floor = 1.0;  ///< congestion-window floor in packets (real TCP
                          ///< cannot send less than one segment per RTT);
                          ///< 0 disables the floor (pure model)

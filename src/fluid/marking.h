@@ -1,164 +1,90 @@
 // Marking nonlinearities used by the fluid model (and, in closed form,
-// by the describing-function analysis).
+// by the describing-function analysis). The rule is queue::MarkingRule,
+// read through its packet-unit view (MarkingRule::in_packets): the
+// thresholds here are always in packets.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 
+#include "queue/marking_rule.h"
+
 namespace dtdctcp::fluid {
 
-/// Which marking rule a MarkingSpec describes.
-enum class MarkingKind {
-  kSingle,      ///< DCTCP relay: mark while q >= K
-  kHysteresis,  ///< DT-DCTCP: start at K1 rising, stop below K2 falling
-  kRedRamp,     ///< RED: probability ramp on the (EWMA-filtered) queue
-  kPie,         ///< PIE: PI controller on queueing delay, clamped to [0,1]
-};
-
-/// Marking-rule specification, thresholds in packets. `single()` is
-/// DCTCP's relay (mark while q >= K); `hysteresis()` is DT-DCTCP (start
-/// at k_start rising; stop when the queue is falling below k_stop,
-/// k_start <= k_stop — see queue::EcnHysteresisQueue for the full
-/// semantics). `red()` and `pie()` describe the two classic AQMs of
-/// src/queue for the stability atlas: RED's static probability ramp
-/// (its EWMA low-pass is a *linear* filter and lives in the analysis
-/// layer's loop model, not in this nonlinearity) and PIE's [0,1]
-/// probability clamp (the PI controller itself is linear too).
-struct MarkingSpec {
-  MarkingKind kind = MarkingKind::kSingle;
-  double k_start = 40.0;  ///< K / K1 / RED min_th (unused by PIE)
-  double k_stop = 40.0;   ///< K / K2 / RED max_th (unused by PIE)
-
-  // RED ramp parameters (kRedRamp; mirror queue::RedConfig).
-  double red_max_p = 0.1;     ///< marking probability at max_th
-  double red_weight = 0.002;  ///< EWMA gain w_q (used by the loop filter)
-  bool red_gentle = true;     ///< ramp to 1 between max_th and 2*max_th
-
-  // PIE controller parameters (kPie; mirror queue::PieConfig).
-  double pie_target_delay = 50e-6;     ///< seconds
-  double pie_update_interval = 100e-6; ///< seconds
-  double pie_alpha = 0.125;            ///< p per update per s of delay error
-  double pie_beta = 1.25;              ///< p per update per s of delay trend
-
-  static MarkingSpec single(double k) {
-    MarkingSpec s;
-    s.kind = MarkingKind::kSingle;
-    s.k_start = s.k_stop = k;
-    return s;
+/// RED's *effective* per-arrival marking probability as implemented by
+/// queue::RedQueue. Its configured ramp p_b(q) is 0 below min_th, linear
+/// to max_p at max_th, then (gentle) linear to 1 at 2*max_th or
+/// (non-gentle) a step to 1. Floyd's uniformized inter-mark spacing
+/// (p_a = p_b / (1 - count * p_b)) makes the gap between marks uniform
+/// on {1..1/p_b}, so the long-run marked fraction is ~2 p_b / (1 + p_b)
+/// — about twice the ramp at small p. Modeled as min(2 p_b, 1); this is
+/// what the fluid model and the describing function must see to match
+/// the packet queue.
+inline double red_effective_probability(const queue::RedConfig& red,
+                                        double q) {
+  double p = 1.0;
+  if (q < red.min_th) {
+    p = 0.0;
+  } else if (q < red.max_th) {
+    p = red.max_p * (q - red.min_th) / (red.max_th - red.min_th);
+  } else if (red.gentle && q < 2.0 * red.max_th) {
+    p = red.max_p + (1.0 - red.max_p) * (q - red.max_th) / red.max_th;
   }
-
-  static MarkingSpec hysteresis(double k1, double k2) {
-    assert(k1 <= k2);
-    MarkingSpec s;
-    s.kind = MarkingKind::kHysteresis;
-    s.k_start = k1;
-    s.k_stop = k2;
-    return s;
-  }
-
-  static MarkingSpec red(double min_th, double max_th, double max_p = 0.1,
-                         bool gentle = true, double weight = 0.002) {
-    assert(min_th < max_th);
-    assert(max_p > 0.0 && max_p <= 1.0);
-    MarkingSpec s;
-    s.kind = MarkingKind::kRedRamp;
-    s.k_start = min_th;
-    s.k_stop = max_th;
-    s.red_max_p = max_p;
-    s.red_gentle = gentle;
-    s.red_weight = weight;
-    return s;
-  }
-
-  static MarkingSpec pie(double target_delay = 50e-6,
-                         double update_interval = 100e-6,
-                         double alpha = 0.125, double beta = 1.25) {
-    MarkingSpec s;
-    s.kind = MarkingKind::kPie;
-    s.k_start = s.k_stop = 0.0;
-    s.pie_target_delay = target_delay;
-    s.pie_update_interval = update_interval;
-    s.pie_alpha = alpha;
-    s.pie_beta = beta;
-    return s;
-  }
-
-  /// Midpoint, the characteristic level the queue hovers around (for
-  /// kPie the operating queue depends on the drain rate, target_delay *
-  /// C, which this rate-free spec cannot know; callers that need it
-  /// compute it from their PlantParams).
-  double midpoint() const { return 0.5 * (k_start + k_stop); }
-
-  /// RED's configured ramp p(q): 0 below min_th, linear to max_p at
-  /// max_th, then (gentle) linear to 1 at 2*max_th or (non-gentle) a
-  /// step to 1.
-  double red_probability(double q) const {
-    assert(kind == MarkingKind::kRedRamp);
-    if (q < k_start) return 0.0;
-    if (q < k_stop) {
-      return red_max_p * (q - k_start) / (k_stop - k_start);
-    }
-    if (!red_gentle) return 1.0;
-    if (q >= 2.0 * k_stop) return 1.0;
-    return red_max_p + (1.0 - red_max_p) * (q - k_stop) / k_stop;
-  }
-
-  /// RED's *effective* per-arrival marking probability as implemented
-  /// by queue::RedQueue: Floyd's uniformized inter-mark spacing
-  /// (p_a = p_b / (1 - count * p_b)) makes the gap between marks
-  /// uniform on {1..1/p_b}, so the long-run marked fraction is
-  /// ~2 p_b / (1 + p_b) — about twice the configured ramp at small p.
-  /// Modeled as min(2 p, 1); this is what the fluid model and the
-  /// describing function must see to match the packet queue.
-  double red_effective_probability(double q) const {
-    return std::min(1.0, 2.0 * red_probability(q));
-  }
-};
+  return std::min(1.0, 2.0 * p);
+}
 
 /// Stateful evaluation of the marking rule along a queue trajectory.
 /// For the single threshold the state is ignored; for hysteresis the
-/// automaton mirrors queue::EcnHysteresisQueue (peak-detection trend);
-/// for the RED ramp the output is the memoryless effective probability
-/// (the EWMA is a linear filter handled by the analysis loop model; the
-/// fluid trajectory is already smooth). kPie is not representable as a
-/// memoryless map of q and is rejected — PIE lives in the analysis
-/// layer's quasi-linear loop model (analysis::MarkingModel).
+/// automaton mirrors queue::EcnHysteresisQueue's trend-peak loop (for
+/// every packet variant, like the DF closed form); for the RED ramp the
+/// output is the memoryless effective probability (the EWMA is a linear
+/// filter handled by the analysis loop model; the fluid trajectory is
+/// already smooth). PIE is stateful in time, not in q — it lives in the
+/// analysis layer's quasi-linear loop model (analysis::MarkingModel) —
+/// and drop-tail and CoDel do not mark on occupancy at all.
 class MarkingAutomaton {
  public:
+  /// Whether the automaton can run `rule` (see above).
+  static bool models(const queue::MarkingRule& rule) {
+    return rule.kind == queue::MarkingKind::kThreshold ||
+           rule.kind == queue::MarkingKind::kHysteresis ||
+           rule.kind == queue::MarkingKind::kRed;
+  }
+
   /// `trend_margin` <= 0 selects max(1, (k_stop-k_start)/8); the fluid
   /// integrator passes a small margin since its trajectory is smooth.
-  explicit MarkingAutomaton(MarkingSpec spec, double trend_margin = 0.0)
-      : spec_(spec),
+  explicit MarkingAutomaton(const queue::MarkingRule& rule,
+                            double trend_margin = 0.0)
+      : rule_(rule),
         margin_(trend_margin > 0.0
                     ? trend_margin
-                    : std::max(1.0, (spec.k_stop - spec.k_start) / 8.0)) {
-    assert(spec.kind != MarkingKind::kPie &&
-           "PIE is stateful in time, not in q; use analysis::MarkingModel");
+                    : std::max(1.0, (rule.k_stop - rule.k_start) / 8.0)) {
+    assert(models(rule) && rule.unit == queue::ThresholdUnit::kPackets);
   }
 
   /// Feeds the next queue sample; returns p in [0, 1] ({0, 1} for the
   /// threshold rules).
   double update(double q) {
-    if (spec_.kind == MarkingKind::kSingle) {
+    if (rule_.kind == queue::MarkingKind::kThreshold) {
       prev_ = q;
-      return q >= spec_.k_start ? 1.0 : 0.0;
+      return q >= rule_.k_start ? 1.0 : 0.0;
     }
-    if (spec_.kind == MarkingKind::kRedRamp) {
+    if (rule_.kind == queue::MarkingKind::kRed) {
       prev_ = q;
-      return spec_.red_effective_probability(q);
+      return red_effective_probability(rule_.red, q);
     }
     if (!marking_) {
       trough_ = std::min(trough_, q);
       const bool rising = q >= trough_ + margin_;
-      const bool crossed_start = prev_ < spec_.k_start && q >= spec_.k_start;
-      if ((crossed_start && rising) || q >= spec_.k_stop) {
+      const bool crossed_start = prev_ < rule_.k_start && q >= rule_.k_start;
+      if ((crossed_start && rising) || q >= rule_.k_stop) {
         marking_ = true;
         peak_ = q;
       }
     } else {
       peak_ = std::max(peak_, q);
       const bool falling = q <= peak_ - margin_;
-      if ((falling && q < spec_.k_stop) || q < spec_.k_start) {
+      if ((falling && q < rule_.k_stop) || q < rule_.k_start) {
         marking_ = false;
         trough_ = q;
       }
@@ -176,7 +102,7 @@ class MarkingAutomaton {
   }
 
  private:
-  MarkingSpec spec_;
+  queue::MarkingRule rule_;
   double margin_;
   bool marking_ = false;
   double prev_ = 0.0;

@@ -64,7 +64,7 @@ struct FluidBackgroundConfig {
   double g = 1.0 / 16.0;   ///< DCTCP EWMA gain
   /// Marking rule the aggregate's delayed automaton runs; should mirror
   /// the bottleneck discipline's configuration.
-  fluid::MarkingSpec marking = fluid::MarkingSpec::single(20.0);
+  queue::MarkingRule marking = queue::MarkingRule::dctcp(20.0);
   double mtu_bytes = 1500.0;  ///< segment size for pps conversions
   /// Coupling cadence (simulated seconds between ticks); <= 0 -> rtt/4.
   SimTime couple_dt = 0.0;

@@ -50,9 +50,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 FabricResult run_fabric(const FabricConfig& cfg) {
   FabricResult out;
 
-  sim::QueueFactory switch_queue = queue::ecn_threshold(
-      0, cfg.buffer_packets, cfg.mark_threshold_packets,
-      queue::ThresholdUnit::kPackets);
+  // One rule for every switch egress and every fluid aggregate.
+  const auto marking = queue::MarkingRule::dctcp(cfg.mark_threshold_packets);
+  sim::QueueFactory switch_queue = marking.queue_factory(0, cfg.buffer_packets);
   if (cfg.priority_classes >= 2) {
     switch_queue = queue::multi_queue(cfg.priority_classes, switch_queue,
                                       cfg.sched_policy, cfg.wrr_weights);
@@ -95,7 +95,7 @@ FabricResult run_fabric(const FabricConfig& cfg) {
     hybrid::FluidBackgroundConfig hcfg;
     hcfg.flows = cfg.hybrid_flows;
     hcfg.rtt = cfg.hybrid_rtt;
-    hcfg.marking = fluid::MarkingSpec::single(cfg.mark_threshold_packets);
+    hcfg.marking = marking;
     hcfg.horizon = cfg.hybrid_horizon;
     aggregates.reserve(ls.leaves.size());
     for (sim::Switch* leaf : ls.leaves) {

@@ -22,16 +22,12 @@
 #include <cstddef>
 #include <utility>
 
+#include "queue/aqm_config.h"
 #include "sim/queue_disc.h"
 #include "sim/shared_buffer.h"
 #include "util/ring_buffer.h"
 
 namespace dtdctcp::queue {
-
-struct CodelConfig {
-  SimTime target = 50e-6;     ///< acceptable standing sojourn time
-  SimTime interval = 500e-6;  ///< sliding window to detect persistence
-};
 
 class CodelQueue final : public sim::QueueDisc, public sim::SharedBufferClient {
  public:

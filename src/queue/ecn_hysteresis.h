@@ -54,8 +54,6 @@
 
 namespace dtdctcp::queue {
 
-enum class HysteresisVariant { kTrendPeak, kDrainToStart, kHalfBand };
-
 class EcnHysteresisQueue final : public FifoBase {
  public:
   /// `k_start` (paper K1) <= `k_stop` (paper K2), both in `unit`.

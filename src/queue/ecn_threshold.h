@@ -14,8 +14,6 @@
 
 namespace dtdctcp::queue {
 
-enum class MarkPoint { kArrival, kDequeue };
-
 class EcnThresholdQueue final : public FifoBase {
  public:
   /// `k` is the marking threshold expressed in `unit`.

@@ -1,4 +1,5 @@
-// Convenience factories producing sim::QueueFactory closures.
+// Convenience factories producing sim::QueueFactory closures; a whole
+// marking rule builds its queue with MarkingRule::queue_factory.
 #pragma once
 
 #include <cstddef>
@@ -9,6 +10,7 @@
 #include "queue/drop_tail.h"
 #include "queue/ecn_hysteresis.h"
 #include "queue/ecn_threshold.h"
+#include "queue/marking_rule.h"
 #include "sim/network.h"
 #include "sim/shared_buffer.h"
 
@@ -24,16 +26,6 @@ inline sim::QueueFactory ecn_threshold(std::size_t limit_bytes,
                                        ThresholdUnit unit) {
   return [=] {
     return std::make_unique<EcnThresholdQueue>(limit_bytes, limit_packets, k, unit);
-  };
-}
-
-inline sim::QueueFactory ecn_hysteresis(
-    std::size_t limit_bytes, std::size_t limit_packets, double k_start,
-    double k_stop, ThresholdUnit unit,
-    HysteresisVariant variant = HysteresisVariant::kTrendPeak) {
-  return [=] {
-    return std::make_unique<EcnHysteresisQueue>(limit_bytes, limit_packets,
-                                                k_start, k_stop, unit, variant);
   };
 }
 

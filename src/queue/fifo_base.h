@@ -25,13 +25,12 @@
 #include <cstddef>
 #include <utility>
 
+#include "queue/aqm_config.h"
 #include "sim/queue_disc.h"
 #include "sim/shared_buffer.h"
 #include "util/ring_buffer.h"
 
 namespace dtdctcp::queue {
-
-enum class ThresholdUnit { kPackets, kBytes };
 
 /// What occupancy a marking discipline's threshold compares against.
 enum class EcnOccupancySource {

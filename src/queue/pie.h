@@ -13,18 +13,11 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "queue/aqm_config.h"
 #include "queue/fifo_base.h"
 #include "util/rng.h"
 
 namespace dtdctcp::queue {
-
-struct PieConfig {
-  SimTime target_delay = 50e-6;
-  SimTime update_interval = 100e-6;
-  double alpha = 0.125;  ///< 1/s of delay error
-  double beta = 1.25;    ///< 1/s of delay trend
-  std::uint64_t seed = 3;
-};
 
 class PieQueue final : public FifoBase {
  public:

@@ -9,20 +9,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "queue/aqm_config.h"
 #include "queue/fifo_base.h"
 #include "util/rng.h"
 
 namespace dtdctcp::queue {
-
-struct RedConfig {
-  double min_th = 5.0;          ///< packets
-  double max_th = 15.0;         ///< packets
-  double max_p = 0.1;           ///< marking probability at max_th
-  double weight = 0.002;        ///< EWMA gain w_q
-  bool ecn_mode = true;         ///< mark instead of drop when possible
-  bool gentle = true;           ///< ramp to 1.0 between max_th and 2*max_th
-  std::uint64_t seed = 1;
-};
 
 class RedQueue final : public FifoBase {
  public:

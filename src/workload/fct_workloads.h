@@ -31,7 +31,6 @@
 #include "hybrid/fluid_background.h"
 #include "queue/factory.h"
 #include "queue/multi_queue.h"
-#include "queue/pie.h"
 #include "sim/counters.h"
 #include "sim/network.h"
 #include "sim/queue_monitor.h"
@@ -48,14 +47,19 @@ namespace dtdctcp::workload {
 /// Which empirical size distribution drives the arrivals.
 enum class FctWorkloadKind { kWebSearch, kDataMining, kQueryBackground };
 
-/// Which marking scheme runs on the bottleneck egress.
-enum class FctScheme {
-  kDctcp,    ///< single threshold K = 20 pkts
-  kDtLoop,   ///< hysteresis K1 = 15 / K2 = 25, trend-peak loop (DT-DCTCP)
-  kDtBand,   ///< hysteresis K1 = 15 / K2 = 25, half-band stop rule
-  kDropTail, ///< no marking, loss-only (buffer-sizing baseline)
-  kCodel,    ///< sojourn-time AQM, default datacenter CoDel config
-  kPie,      ///< PI-controller AQM, default datacenter PIE config
+/// The bottleneck rules the FCT benches compare, in packets: DCTCP K = 20,
+/// DT-DCTCP K1/K2 = 15/25 (trend-peak loop or half-band), drop-tail, and
+/// datacenter-default CoDel and PIE. Any other MarkingRule works too.
+struct FctScheme {
+  using Rule = queue::MarkingRule;
+  static constexpr Rule kDctcp = Rule::dctcp(20.0);
+  static constexpr Rule kDtLoop = Rule::dt_dctcp(15.0, 25.0);
+  static constexpr Rule kDtBand =
+      Rule::dt_dctcp(15.0, 25.0, queue::ThresholdUnit::kPackets,
+                     queue::HysteresisVariant::kHalfBand);
+  static constexpr Rule kDropTail = Rule::drop_tail();
+  static constexpr Rule kCodel = Rule::aqm(queue::CodelConfig{});
+  static constexpr Rule kPie = Rule::aqm(queue::PieConfig{});
 };
 
 inline const char* fct_workload_name(FctWorkloadKind k) {
@@ -67,14 +71,20 @@ inline const char* fct_workload_name(FctWorkloadKind k) {
   return "?";
 }
 
-inline const char* fct_scheme_name(FctScheme s) {
-  switch (s) {
-    case FctScheme::kDctcp: return "dctcp";
-    case FctScheme::kDtLoop: return "dt-loop";
-    case FctScheme::kDtBand: return "dt-band";
-    case FctScheme::kDropTail: return "droptail";
-    case FctScheme::kCodel: return "codel";
-    case FctScheme::kPie: return "pie";
+/// Row name of a scheme in tables and metric prefixes: its kind (and
+/// hysteresis reading), not its thresholds.
+inline const char* fct_scheme_name(const queue::MarkingRule& s) {
+  using queue::HysteresisVariant;
+  switch (s.kind) {
+    case queue::MarkingKind::kThreshold: return "dctcp";
+    case queue::MarkingKind::kHysteresis:
+      return s.variant == HysteresisVariant::kHalfBand       ? "dt-band"
+             : s.variant == HysteresisVariant::kDrainToStart ? "dt-drain"
+                                                             : "dt-loop";
+    case queue::MarkingKind::kDropTail: return "droptail";
+    case queue::MarkingKind::kRed: return "red";
+    case queue::MarkingKind::kPie: return "pie";
+    case queue::MarkingKind::kCodel: return "codel";
   }
   return "?";
 }
@@ -89,37 +99,12 @@ inline FlowSizeDist fct_workload_sizes(FctWorkloadKind k) {
 }
 
 /// Queue factory for the bottleneck egress: buffer `buffer_pkts` deep,
-/// marking per the scheme (thresholds in packets, the paper's units).
-/// `link_bps` is the drain rate of the port the queue will serve (PIE's
-/// delay estimator needs it; the threshold schemes ignore it).
-inline sim::QueueFactory fct_marking(FctScheme s, std::size_t buffer_pkts,
+/// marking per the scheme. `link_bps` is the drain rate of the port the
+/// queue will serve (PIE's delay estimator needs it).
+inline sim::QueueFactory fct_marking(const queue::MarkingRule& s,
+                                     std::size_t buffer_pkts,
                                      double link_bps = units::gbps(1)) {
-  switch (s) {
-    case FctScheme::kDctcp:
-      return queue::ecn_threshold(0, buffer_pkts, 20.0,
-                                  queue::ThresholdUnit::kPackets);
-    case FctScheme::kDtLoop:
-      return queue::ecn_hysteresis(0, buffer_pkts, 15.0, 25.0,
-                                   queue::ThresholdUnit::kPackets,
-                                   queue::HysteresisVariant::kTrendPeak);
-    case FctScheme::kDtBand:
-      return queue::ecn_hysteresis(0, buffer_pkts, 15.0, 25.0,
-                                   queue::ThresholdUnit::kPackets,
-                                   queue::HysteresisVariant::kHalfBand);
-    case FctScheme::kDropTail:
-      return queue::drop_tail(0, buffer_pkts);
-    case FctScheme::kCodel:
-      return [=] {
-        return std::make_unique<queue::CodelQueue>(0, buffer_pkts,
-                                                   queue::CodelConfig{});
-      };
-    case FctScheme::kPie:
-      return [=] {
-        return std::make_unique<queue::PieQueue>(0, buffer_pkts,
-                                                 queue::PieConfig{}, link_bps);
-      };
-  }
-  return queue::drop_tail(0, buffer_pkts);
+  return s.queue_factory(0, buffer_pkts, link_bps);
 }
 
 /// How a background share of long-lived flows is realized.
@@ -130,22 +115,17 @@ enum class FctBackgroundMode {
             ///< (O(1) in N — the scalable hybrid path)
 };
 
-/// Marking spec the fluid aggregate runs, mirroring the packet-side
-/// scheme on the bottleneck. Loss-only / delay-based schemes fall back
-/// to DCTCP's single threshold (the fluid model is ECN-driven).
-inline fluid::MarkingSpec fct_fluid_marking(FctScheme s) {
-  switch (s) {
-    case FctScheme::kDtLoop:
-    case FctScheme::kDtBand:
-      return fluid::MarkingSpec::hysteresis(15.0, 25.0);
-    default:
-      return fluid::MarkingSpec::single(20.0);
-  }
+/// Rule the fluid aggregate runs: the bottleneck's own, in packets, or
+/// FctScheme::kDctcp when the (ECN-driven) fluid model cannot run it.
+inline queue::MarkingRule fct_fluid_marking(const queue::MarkingRule& s) {
+  constexpr double kMss = 1500.0;  // tcp::TcpConfig's default
+  return fluid::MarkingAutomaton::models(s) ? s.in_packets(kMss)
+                                            : FctScheme::kDctcp;
 }
 
 struct FctWorkloadConfig {
   FctWorkloadKind kind = FctWorkloadKind::kWebSearch;
-  FctScheme scheme = FctScheme::kDctcp;
+  queue::MarkingRule scheme = FctScheme::kDctcp;  ///< bottleneck rule
   double load = 0.6;            ///< offered fraction of bottleneck capacity
   SimTime duration = 0.5;       ///< arrival window; flows may finish later
   std::size_t senders = 8;

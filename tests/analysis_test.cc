@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "analysis/describing_function.h"
+#include "analysis/marking_model.h"
 #include "analysis/margins.h"
 #include "analysis/nyquist.h"
 #include "analysis/stability_atlas.h"
@@ -20,7 +21,7 @@ namespace {
 
 using analysis::Complex;
 using analysis::PlantParams;
-using fluid::MarkingSpec;
+using queue::MarkingRule;
 
 PlantParams paper_plant(double flows, double rtt) {
   PlantParams p;
@@ -118,7 +119,7 @@ TEST(DescribingFunction, HysteresisDegeneratesToRelayWhenK1EqualsK2) {
 }
 
 TEST(DescribingFunction, NumericQuadratureMatchesClosedFormRelay) {
-  const MarkingSpec spec = MarkingSpec::single(40.0);
+  const MarkingRule spec = MarkingRule::dctcp(40.0);
   for (double x : {45.0, 60.0, 100.0, 400.0}) {
     const Complex cf = analysis::df_dctcp(x, 40.0);
     const Complex nu = analysis::numeric_df(spec, x, 0.0);
@@ -128,7 +129,7 @@ TEST(DescribingFunction, NumericQuadratureMatchesClosedFormRelay) {
 }
 
 TEST(DescribingFunction, NumericQuadratureMatchesClosedFormHysteresis) {
-  const MarkingSpec spec = MarkingSpec::hysteresis(30.0, 50.0);
+  const MarkingRule spec = MarkingRule::dt_dctcp(30.0, 50.0);
   for (double x : {55.0, 60.0, 80.0, 120.0, 400.0}) {
     const Complex cf = analysis::df_dtdctcp(x, 30.0, 50.0);
     const Complex nu = analysis::numeric_df(spec, x, 0.0);
@@ -139,20 +140,21 @@ TEST(DescribingFunction, NumericQuadratureMatchesClosedFormHysteresis) {
 
 TEST(DescribingFunction, RelativeDfUsesCharacteristicGain) {
   // N0(X) = N(X)/K0 with K0 = 1/K (relay) and 1/K2 (hysteresis).
-  const MarkingSpec dc = MarkingSpec::single(40.0);
-  const MarkingSpec dt = MarkingSpec::hysteresis(30.0, 50.0);
-  EXPECT_DOUBLE_EQ(analysis::characteristic_gain(dc), 1.0 / 40.0);
-  EXPECT_DOUBLE_EQ(analysis::characteristic_gain(dt), 1.0 / 50.0);
+  const MarkingRule dc = MarkingRule::dctcp(40.0);
+  const MarkingRule dt = MarkingRule::dt_dctcp(30.0, 50.0);
+  EXPECT_DOUBLE_EQ(analysis::MarkingModel::make(dc, {}).k0, 1.0 / 40.0);
+  EXPECT_DOUBLE_EQ(analysis::MarkingModel::make(dt, {}).k0, 1.0 / 50.0);
   const double x = 80.0;
-  const Complex n0 = analysis::relative_df(dc, x);
+  const Complex n0 = analysis::MarkingModel::make(dc, {}).relative_df(x);
   EXPECT_NEAR(n0.real(), 40.0 * analysis::df_dctcp(x, 40.0).real(), 1e-12);
 }
 
 TEST(DescribingFunction, MaxNegRecipRelayIsMinusPiAtKSqrt2) {
   // The paper's stability boundary: max(-1/N0dc) = -pi at X = K*sqrt(2).
   double arg_x = 0.0;
-  const double m = analysis::max_real_neg_recip(MarkingSpec::single(40.0),
-                                                40.0001, 4000.0, &arg_x);
+  const auto relay = analysis::MarkingModel::make(MarkingRule::dctcp(40.0), {});
+  const double m = analysis::max_real_of_locus(
+      [&](double x) { return relay.neg_recip(x); }, 40.0001, 4000.0, &arg_x);
   EXPECT_NEAR(m, -M_PI, 1e-6);
   EXPECT_NEAR(arg_x, 40.0 * std::sqrt(2.0), 0.05);
 }
@@ -165,7 +167,7 @@ TEST(Nyquist, PaperLiteralParametersPredictStability) {
   // plant locus crosses the real axis well right of -pi. Documented as
   // a deviation from the paper's Fig. 9 in EXPERIMENTS.md.
   PlantParams p = paper_plant(60.0, 1e-4);
-  const auto r = analysis::analyze(p, MarkingSpec::single(40.0));
+  const auto r = analysis::analyze(p, MarkingRule::dctcp(40.0));
   EXPECT_FALSE(r.intersects);
   EXPECT_GT(r.crossing_real, -M_PI);
   EXPECT_LT(r.crossing_real, 0.0);
@@ -173,7 +175,7 @@ TEST(Nyquist, PaperLiteralParametersPredictStability) {
 
 TEST(Nyquist, MillisecondRttRegimeHasLimitCycles) {
   PlantParams p = paper_plant(80.0, 1e-3);
-  const auto r = analysis::analyze(p, MarkingSpec::single(40.0));
+  const auto r = analysis::analyze(p, MarkingRule::dctcp(40.0));
   ASSERT_TRUE(r.intersects);
   // The paper's Nyquist reading: two intersections, the small-amplitude
   // cycle unstable and the large one sustained.
@@ -190,14 +192,14 @@ TEST(Nyquist, MillisecondRttRegimeHasLimitCycles) {
 
 TEST(Nyquist, RootsSatisfyCharacteristicEquation) {
   PlantParams p = paper_plant(80.0, 1e-3);
-  const MarkingSpec spec = MarkingSpec::single(40.0);
+  const MarkingRule spec = MarkingRule::dctcp(40.0);
   const auto r = analysis::analyze(p, spec);
   ASSERT_TRUE(r.intersects);
   for (const auto& c : r.cycles) {
-    const Complex lhs = analysis::characteristic_gain(spec) *
+    const Complex lhs = analysis::MarkingModel::make(spec, {}).k0 *
                         analysis::plant_response(p, c.omega);
     const Complex rhs =
-        analysis::neg_recip_relative_df(spec, c.amplitude);
+        analysis::MarkingModel::make(spec, {}).neg_recip(c.amplitude);
     EXPECT_NEAR(std::abs(lhs - rhs), 0.0, 1e-8);
   }
 }
@@ -208,9 +210,9 @@ TEST(Nyquist, CriticalFlowsOrderingDcBeforeDt) {
   // Matlab evaluation; the ordering is the invariant.)
   PlantParams p = paper_plant(1.0, 1e-3);
   const int ndc =
-      analysis::critical_flows(p, MarkingSpec::single(40.0), 5, 200);
+      analysis::critical_flows(p, MarkingRule::dctcp(40.0), 5, 200);
   const int ndt = analysis::critical_flows(
-      p, MarkingSpec::hysteresis(30.0, 50.0), 5, 200);
+      p, MarkingRule::dt_dctcp(30.0, 50.0), 5, 200);
   ASSERT_GT(ndc, 0);
   ASSERT_GT(ndt, 0);
   EXPECT_LT(ndc, ndt);
@@ -220,9 +222,9 @@ TEST(Nyquist, WiderHysteresisRaisesCriticalFlows) {
   // The stabilizing margin grows with the loop width at fixed midpoint.
   PlantParams p = paper_plant(1.0, 1e-3);
   const int narrow = analysis::critical_flows(
-      p, MarkingSpec::hysteresis(35.0, 45.0), 5, 300);
+      p, MarkingRule::dt_dctcp(35.0, 45.0), 5, 300);
   const int wide = analysis::critical_flows(
-      p, MarkingSpec::hysteresis(25.0, 55.0), 5, 300);
+      p, MarkingRule::dt_dctcp(25.0, 55.0), 5, 300);
   ASSERT_GT(narrow, 0);
   // Wider loop: either no instability in range (-1) or a larger N.
   if (wide > 0) {
@@ -235,8 +237,8 @@ TEST(Nyquist, BisectionMatchesLinearScanOnFig9OperatingPoint) {
   // onset and its bracketing stable N at the paper's Fig. 9 operating
   // point (10 Gbps, RTT 1 ms), for both the relay and the hysteresis.
   PlantParams p = paper_plant(1.0, 1e-3);
-  for (const MarkingSpec& spec :
-       {MarkingSpec::single(40.0), MarkingSpec::hysteresis(30.0, 50.0)}) {
+  for (const MarkingRule& spec :
+       {MarkingRule::dctcp(40.0), MarkingRule::dt_dctcp(30.0, 50.0)}) {
     int first = -1;
     for (int n = 5; n <= 200; ++n) {
       p.flows = static_cast<double>(n);
@@ -255,7 +257,7 @@ TEST(Nyquist, BisectionMatchesLinearScanOnFig9OperatingPoint) {
 
 TEST(Nyquist, BisectionBoundaryCases) {
   PlantParams p = paper_plant(1.0, 1e-3);
-  const MarkingSpec spec = MarkingSpec::single(40.0);
+  const MarkingRule spec = MarkingRule::dctcp(40.0);
   // Whole range stable: no onset, the top of the range is the bracket.
   auto br = analysis::critical_flows_bracket(p, spec, 5, 20);
   EXPECT_EQ(br.critical_n, -1);
@@ -275,7 +277,7 @@ TEST(Nyquist, MinQueueAmplitudeFiltersSubPacketRoots) {
   // atlas's one-packet floor, and an absurdly large floor reclassifies
   // it as stable — the knob only ever discards roots.
   PlantParams p = paper_plant(80.0, 1e-3);
-  const MarkingSpec spec = MarkingSpec::single(40.0);
+  const MarkingRule spec = MarkingRule::dctcp(40.0);
   analysis::SolverOptions opt;
   opt.min_queue_amplitude = 1.0;
   const auto r = analysis::analyze(p, spec, opt);
@@ -292,7 +294,7 @@ TEST(Margins, NoPhaseCrossingInBandIsNanFree) {
   // falls back to its "effectively infinite" default, everything finite.
   PlantParams p = paper_plant(60.0, 1e-4);
   const auto m =
-      analysis::stability_margins(p, MarkingSpec::single(40.0), 1.0, 10.0);
+      analysis::stability_margins(p, MarkingRule::dctcp(40.0), 1.0, 10.0);
   EXPECT_TRUE(std::isfinite(m.gain_margin_db));
   EXPECT_TRUE(std::isfinite(m.phase_margin_deg));
   EXPECT_DOUBLE_EQ(m.gain_margin, 1e9);
@@ -305,7 +307,7 @@ TEST(Margins, DegenerateBandReturnsDefaults) {
   for (const auto& [lo, hi] : {std::pair{1e3, 1e3}, std::pair{1e4, 1e3},
                                std::pair{0.0, 1e3}}) {
     const auto m =
-        analysis::stability_margins(p, MarkingSpec::single(40.0), lo, hi);
+        analysis::stability_margins(p, MarkingRule::dctcp(40.0), lo, hi);
     EXPECT_TRUE(std::isfinite(m.gain_margin_db)) << lo << " " << hi;
     EXPECT_DOUBLE_EQ(m.gain_margin, 1e9);
     EXPECT_DOUBLE_EQ(m.phase_margin_deg, 0.0);
@@ -318,7 +320,7 @@ TEST(Margins, MagnitudeNeverCriticalGivesZeroPhaseMargin) {
   // while the gain margin stays large and finite.
   PlantParams p = paper_plant(1e5, 1e-4);
   const auto m =
-      analysis::stability_margins(p, MarkingSpec::single(40.0));
+      analysis::stability_margins(p, MarkingRule::dctcp(40.0));
   EXPECT_TRUE(std::isfinite(m.gain_margin_db));
   EXPECT_DOUBLE_EQ(m.phase_margin_deg, 0.0);
   EXPECT_GT(m.gain_margin, 1.0);
@@ -326,7 +328,7 @@ TEST(Margins, MagnitudeNeverCriticalGivesZeroPhaseMargin) {
 
 TEST(Nyquist, LocusSamplersProduceOrderedSeries) {
   PlantParams p = paper_plant(60.0, 1e-3);
-  const MarkingSpec spec = MarkingSpec::hysteresis(30.0, 50.0);
+  const MarkingRule spec = MarkingRule::dt_dctcp(30.0, 50.0);
   const auto plant = analysis::sample_plant_locus(p, spec, 10.0, 1e5, 64);
   ASSERT_EQ(plant.size(), 64u);
   EXPECT_LT(plant.front().first, plant.back().first);
@@ -343,7 +345,7 @@ TEST(Nyquist, LocusSamplersProduceOrderedSeries) {
 
 TEST(Nyquist, LocusSamplersHandleDegenerateCounts) {
   PlantParams p = paper_plant(60.0, 1e-3);
-  const MarkingSpec spec = MarkingSpec::single(40.0);
+  const MarkingRule spec = MarkingRule::dctcp(40.0);
   EXPECT_TRUE(analysis::sample_plant_locus(p, spec, 1.0, 1e5, 0).empty());
   EXPECT_TRUE(analysis::sample_plant_locus(p, spec, 1.0, 1e5, -3).empty());
   EXPECT_TRUE(analysis::sample_df_locus(spec, 100.0, 0).empty());
@@ -357,9 +359,9 @@ TEST(Nyquist, DfLocusAtValidityBoundIsFinite) {
   // x_max_factor <= 1 clamps the walk to a single amplitude just above
   // the validity bound — every sample must stay finite (the bound
   // itself would divide by zero in -1/N).
-  for (const MarkingSpec& spec :
-       {MarkingSpec::single(40.0), MarkingSpec::hysteresis(20.0, 40.0),
-        MarkingSpec::red(20.0, 40.0)}) {
+  for (const MarkingRule& spec :
+       {MarkingRule::dctcp(40.0), MarkingRule::dt_dctcp(20.0, 40.0),
+        MarkingRule::aqm(queue::RedConfig{.min_th = 20.0, .max_th = 40.0})}) {
     for (double factor : {1.0, 0.5}) {
       const auto locus = analysis::sample_df_locus(spec, factor, 8);
       ASSERT_EQ(locus.size(), 8u);
@@ -374,9 +376,10 @@ TEST(Nyquist, DfLocusAtValidityBoundIsFinite) {
 
 TEST(Nyquist, PlantLocusFiniteOverNineFrequencyDecades) {
   PlantParams p = paper_plant(60.0, 1e-3);
-  for (const MarkingSpec& spec :
-       {MarkingSpec::single(40.0), MarkingSpec::red(20.0, 40.0),
-        MarkingSpec::pie()}) {
+  for (const MarkingRule& spec :
+       {MarkingRule::dctcp(40.0),
+        MarkingRule::aqm(queue::RedConfig{.min_th = 20.0, .max_th = 40.0}),
+        MarkingRule::aqm(queue::PieConfig{})}) {
     const auto locus =
         analysis::sample_plant_locus(p, spec, 1e-2, 1e7, 128);
     ASSERT_EQ(locus.size(), 128u);
@@ -391,8 +394,8 @@ TEST(Nyquist, PlantLocusFiniteOverNineFrequencyDecades) {
 
 analysis::AtlasConfig small_atlas() {
   analysis::AtlasConfig cfg;
-  cfg.markings = {fluid::MarkingSpec::single(40.0),
-                  fluid::MarkingSpec::hysteresis(20.0, 40.0)};
+  cfg.markings = {queue::MarkingRule::dctcp(40.0),
+                  queue::MarkingRule::dt_dctcp(20.0, 40.0)};
   cfg.rtts = {100e-6, 1e-3};
   cfg.n_lo = 5;
   cfg.n_hi = 128;
@@ -450,33 +453,38 @@ TEST(StabilityAtlas, ObservableAmplitudeClipsToQueueRange) {
 }
 
 TEST(StabilityAtlas, MarkingLabelsRoundTrip) {
-  const fluid::MarkingSpec specs[] = {
-      fluid::MarkingSpec::single(40.0),
-      fluid::MarkingSpec::hysteresis(20.0, 40.0),
-      fluid::MarkingSpec::red(30.0, 90.0),
-      fluid::MarkingSpec::pie(50e-6),
+  // Every atlas label parses back to the rule that printed it; the
+  // grammar itself is covered rule by rule in queue_test.
+  queue::PieConfig pie;
+  pie.alpha = 125.0;
+  pie.beta = 1250.0;
+  const queue::MarkingRule specs[] = {
+      queue::MarkingRule::dctcp(40.0),
+      queue::MarkingRule::dt_dctcp(20.0, 40.0),
+      queue::MarkingRule::aqm(queue::RedConfig{.min_th = 30.0, .max_th = 90.0}),
+      queue::MarkingRule::aqm(pie),
   };
   for (const auto& spec : specs) {
-    fluid::MarkingSpec parsed;
-    ASSERT_TRUE(
-        analysis::parse_marking_label(analysis::marking_label(spec), &parsed))
-        << analysis::marking_label(spec);
-    EXPECT_EQ(parsed.kind, spec.kind);
-    EXPECT_DOUBLE_EQ(parsed.k_start, spec.k_start);
-    EXPECT_DOUBLE_EQ(parsed.k_stop, spec.k_stop);
+    const auto parsed = queue::MarkingRule::parse(spec.label());
+    ASSERT_TRUE(parsed.has_value()) << spec.label();
+    EXPECT_EQ(*parsed, spec) << spec.label();
   }
-  fluid::MarkingSpec parsed;
-  EXPECT_TRUE(analysis::parse_marking_label("red:20,40,0.2,0,0.01", &parsed));
-  EXPECT_DOUBLE_EQ(parsed.red_max_p, 0.2);
-  EXPECT_FALSE(parsed.red_gentle);
-  EXPECT_DOUBLE_EQ(parsed.red_weight, 0.01);
-  EXPECT_TRUE(analysis::parse_marking_label("pie:100us,125,1250", &parsed));
-  EXPECT_DOUBLE_EQ(parsed.pie_target_delay, 100e-6);
-  EXPECT_DOUBLE_EQ(parsed.pie_alpha, 125.0);
-  EXPECT_DOUBLE_EQ(parsed.pie_beta, 1250.0);
-  EXPECT_FALSE(analysis::parse_marking_label("dt:40", &parsed));
-  EXPECT_FALSE(analysis::parse_marking_label("red:40,20", &parsed));
-  EXPECT_FALSE(analysis::parse_marking_label("nonsense", &parsed));
+  EXPECT_EQ(specs[3].label(), "pie:50us,alpha=125,beta=1250");
+  const auto red = queue::MarkingRule::parse("red:20,40,max_p=0.2,gentle=0,"
+                                             "weight=0.01");
+  ASSERT_TRUE(red.has_value());
+  EXPECT_DOUBLE_EQ(red->red.max_p, 0.2);
+  EXPECT_FALSE(red->red.gentle);
+  EXPECT_DOUBLE_EQ(red->red.weight, 0.01);
+  const auto pie_parsed =
+      queue::MarkingRule::parse("pie:100us,alpha=125,beta=1250");
+  ASSERT_TRUE(pie_parsed.has_value());
+  EXPECT_DOUBLE_EQ(pie_parsed->pie.target_delay, 100e-6);
+  EXPECT_DOUBLE_EQ(pie_parsed->pie.alpha, 125.0);
+  EXPECT_DOUBLE_EQ(pie_parsed->pie.beta, 1250.0);
+  EXPECT_FALSE(queue::MarkingRule::parse("dt:40"));
+  EXPECT_FALSE(queue::MarkingRule::parse("red:40,20"));
+  EXPECT_FALSE(queue::MarkingRule::parse("nonsense"));
 }
 
 TEST(StabilityAtlas, CrossCcVariantsAnalyzeCleanly) {
@@ -484,7 +492,7 @@ TEST(StabilityAtlas, CrossCcVariantsAnalyzeCleanly) {
   // variant (quantitative packet validation is pinned on the DCTCP
   // cells; see the RED/PIE envelope tests below and the bench).
   analysis::AtlasConfig cfg = small_atlas();
-  cfg.markings = {fluid::MarkingSpec::single(40.0)};
+  cfg.markings = {queue::MarkingRule::dctcp(40.0)};
   cfg.ccs = {analysis::CcVariant::kDctcp, analysis::CcVariant::kEcnReno,
              analysis::CcVariant::kD2tcp};
   cfg.rtts = {1e-3};
@@ -506,9 +514,10 @@ TEST(StabilityAtlas, CrossCcVariantsAnalyzeCleanly) {
 
 TEST(StabilityAtlas, RedCellAgreesWithPacketSimWithinFactorTwo) {
   analysis::AtlasConfig cfg;
-  cfg.markings = {fluid::MarkingSpec::red(20.0, 40.0)};
+  cfg.markings = {queue::MarkingRule::aqm(
+      queue::RedConfig{.min_th = 20.0, .max_th = 40.0})};
   analysis::AtlasCell cell;
-  cell.spec = cfg.markings[0];
+  cell.marking = cfg.markings[0];
   cell.rtt = 1e-3;
   cell.rate_bps = 10e9;
   cell.buffer_pkts = 250.0;
@@ -516,7 +525,7 @@ TEST(StabilityAtlas, RedCellAgreesWithPacketSimWithinFactorTwo) {
   ASSERT_TRUE(pred.intersects);
 
   core::OscillationProbeConfig probe;
-  probe.spec = cell.spec;
+  probe.marking = cell.marking;
   probe.flows = 31;
   probe.rtt = cell.rtt;
   probe.rate_bps = cell.rate_bps;
@@ -534,12 +543,13 @@ TEST(StabilityAtlas, RedCellAgreesWithPacketSimWithinFactorTwo) {
 
 TEST(StabilityAtlas, StablePieCellShowsNoSustainedOscillation) {
   analysis::AtlasConfig cfg;
-  fluid::MarkingSpec pie = fluid::MarkingSpec::pie(50e-6);
-  pie.pie_alpha = 125.0;  // datacenter-scale gains (see the bench)
-  pie.pie_beta = 1250.0;
+  queue::PieConfig pie_cfg;
+  pie_cfg.alpha = 125.0;  // datacenter-scale gains (see the bench)
+  pie_cfg.beta = 1250.0;
+  const auto pie = queue::MarkingRule::aqm(pie_cfg);
   cfg.markings = {pie};
   analysis::AtlasCell cell;
-  cell.spec = pie;
+  cell.marking = pie;
   cell.rtt = 1e-3;
   cell.rate_bps = 10e9;
   cell.buffer_pkts = 250.0;
@@ -549,7 +559,7 @@ TEST(StabilityAtlas, StablePieCellShowsNoSustainedOscillation) {
   EXPECT_FALSE(pred.intersects);
 
   core::OscillationProbeConfig probe;
-  probe.spec = pie;
+  probe.marking = pie;
   probe.flows = 12;
   probe.rtt = cell.rtt;
   probe.rate_bps = cell.rate_bps;

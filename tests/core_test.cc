@@ -12,7 +12,7 @@ core::DumbbellConfig small_dumbbell(std::size_t flows) {
   cfg.bottleneck_bps = units::gbps(1);
   cfg.edge_bps = units::gbps(10);
   cfg.rtt = units::microseconds(100);
-  cfg.marking = core::MarkingConfig::dctcp(40.0);
+  cfg.marking = queue::MarkingRule::dctcp(40.0);
   cfg.switch_buffer_packets = 100;
   cfg.warmup = 0.02;
   cfg.measure = 0.08;
@@ -29,7 +29,7 @@ TEST(Dumbbell, DctcpHoldsQueueNearThresholdAndSaturatesLink) {
 
 TEST(Dumbbell, MarkingConfigSelectsDiscipline) {
   auto cfg = small_dumbbell(5);
-  cfg.marking = core::MarkingConfig::dt_dctcp(30.0, 50.0);
+  cfg.marking = queue::MarkingRule::dt_dctcp(30.0, 50.0);
   auto r = core::run_dumbbell(cfg);
   EXPECT_GT(r.utilization, 0.9);
   EXPECT_GT(r.marks, 0u);
@@ -90,7 +90,7 @@ TEST_P(DumbbellSweep, UtilizationAndQueueBounds) {
   const auto param = GetParam();
   auto cfg = small_dumbbell(param.flows);
   if (param.double_threshold) {
-    cfg.marking = core::MarkingConfig::dt_dctcp(30.0, 50.0);
+    cfg.marking = queue::MarkingRule::dt_dctcp(30.0, 50.0);
   }
   auto r = core::run_dumbbell(cfg);
   EXPECT_GT(r.utilization, 0.85) << "flows=" << param.flows;
@@ -173,9 +173,9 @@ TEST(Incast, DtPostponesCollapseAtTheCliff) {
   cfg.tcp.min_rto = 0.2;
   cfg.tcp.init_rto = 0.2;
   cfg.testbed.marking =
-      core::MarkingConfig::dctcp(32 * 1024, queue::ThresholdUnit::kBytes);
+      queue::MarkingRule::dctcp(32 * 1024, queue::ThresholdUnit::kBytes);
   auto r_dc = core::run_incast(cfg);
-  cfg.testbed.marking = core::MarkingConfig::dt_dctcp(
+  cfg.testbed.marking = queue::MarkingRule::dt_dctcp(
       28 * 1024, 34 * 1024, queue::ThresholdUnit::kBytes);
   auto r_dt = core::run_incast(cfg);
   EXPECT_GT(r_dt.goodput_mean_bps, r_dc.goodput_mean_bps);
@@ -195,21 +195,21 @@ TEST(PartitionAggregate, SplitsTotalBytesAcrossWorkers) {
   EXPECT_LT(r.completion_mean_s, 0.03);
 }
 
+// core::MarkingConfig is queue::MarkingRule; these pin its packet view.
 TEST(MarkingConfig, FluidSpecConvertsBytesToPackets) {
   auto m = core::MarkingConfig::dt_dctcp(30 * 1500, 50 * 1500,
                                          queue::ThresholdUnit::kBytes);
-  auto spec = m.fluid_spec(1500);
-  EXPECT_EQ(spec.kind, fluid::MarkingKind::kHysteresis);
-  EXPECT_NEAR(spec.k_start, 30.0, 1e-12);
-  EXPECT_NEAR(spec.k_stop, 50.0, 1e-12);
+  auto spec = m.in_packets(1500);
+  EXPECT_EQ(spec.kind, queue::MarkingKind::kHysteresis);
+  EXPECT_EQ(spec.unit, queue::ThresholdUnit::kPackets);
+  EXPECT_EQ(spec.k_start, 30.0);
+  EXPECT_EQ(spec.k_stop, 50.0);
   EXPECT_NEAR(m.midpoint(), 40.0 * 1500, 1e-9);
 }
 
 TEST(MarkingConfig, PacketUnitPassthrough) {
-  auto m = core::MarkingConfig::dctcp(40.0);
-  auto spec = m.fluid_spec(1500);
-  EXPECT_EQ(spec.kind, fluid::MarkingKind::kSingle);
-  EXPECT_NEAR(spec.k_start, 40.0, 1e-12);
+  auto m = queue::MarkingRule::dctcp(40.0);
+  EXPECT_EQ(m.in_packets(1500), m);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "analysis/describing_function.h"
+#include "analysis/marking_model.h"
 #include "fluid/marking.h"
 #include "queue/ecn_hysteresis.h"
 #include "queue/ecn_threshold.h"
@@ -18,7 +19,7 @@ namespace dtdctcp {
 namespace {
 
 using analysis::Complex;
-using fluid::MarkingSpec;
+using queue::MarkingRule;
 
 // --- closed form vs numeric over a (K1, K2, X) grid --------------------
 
@@ -30,9 +31,9 @@ class DfGrid : public ::testing::TestWithParam<DfCase> {};
 
 TEST_P(DfGrid, NumericMatchesClosedForm) {
   const auto& c = GetParam();
-  const MarkingSpec spec = c.k1 == c.k2
-                               ? MarkingSpec::single(c.k1)
-                               : MarkingSpec::hysteresis(c.k1, c.k2);
+  const MarkingRule spec = c.k1 == c.k2
+                               ? MarkingRule::dctcp(c.k1)
+                               : MarkingRule::dt_dctcp(c.k1, c.k2);
   const Complex cf = c.k1 == c.k2 ? analysis::df_dctcp(c.x, c.k1)
                                   : analysis::df_dtdctcp(c.x, c.k1, c.k2);
   const Complex nu = analysis::numeric_df(spec, c.x, 0.0);
@@ -92,10 +93,10 @@ TEST(DfProperties, WiderLoopMoreLead) {
 }
 
 TEST(DfProperties, NegRecipConsistentWithRelativeDf) {
-  const MarkingSpec spec = MarkingSpec::hysteresis(30.0, 50.0);
+  const MarkingRule spec = MarkingRule::dt_dctcp(30.0, 50.0);
   for (double x : {55.0, 80.0, 200.0}) {
-    const Complex prod = analysis::relative_df(spec, x) *
-                         analysis::neg_recip_relative_df(spec, x);
+    const auto model = analysis::MarkingModel::make(spec, {});
+    const Complex prod = model.relative_df(x) * model.neg_recip(x);
     EXPECT_NEAR(prod.real(), -1.0, 1e-12);
     EXPECT_NEAR(prod.imag(), 0.0, 1e-12);
   }
@@ -104,14 +105,14 @@ TEST(DfProperties, NegRecipConsistentWithRelativeDf) {
 TEST(DfProperties, NumericDfWithLargeBiasSeesNoMarking) {
   // Sine entirely below K1: zero output, zero DF.
   const Complex n =
-      analysis::numeric_df(MarkingSpec::single(40.0), 10.0, 0.0);
+      analysis::numeric_df(MarkingRule::dctcp(40.0), 10.0, 0.0);
   EXPECT_NEAR(std::abs(n), 0.0, 1e-12);
 }
 
 TEST(DfProperties, NumericDfWithPositiveBiasMarksLongerArc) {
   // Raising the bias pushes more of the sine above K: larger fundamental
   // in-phase component up to saturation.
-  const MarkingSpec spec = MarkingSpec::single(40.0);
+  const MarkingRule spec = MarkingRule::dctcp(40.0);
   const double b0 = analysis::numeric_df(spec, 50.0, 0.0).real();
   const double b1 = analysis::numeric_df(spec, 50.0, 20.0).real();
   EXPECT_GT(b0, 0.0);
@@ -127,7 +128,7 @@ TEST(AutomataAgreement, FluidAndQueueTrendPeakAgreeOnRandomWalk) {
   // The fluid MarkingAutomaton and the packet queue's kTrendPeak variant
   // implement the same machine; drive both with one occupancy walk.
   Rng rng(31337);
-  fluid::MarkingAutomaton fluid_a(MarkingSpec::hysteresis(30.0, 50.0));
+  fluid::MarkingAutomaton fluid_a(MarkingRule::dt_dctcp(30.0, 50.0));
   queue::EcnHysteresisQueue queue_a(0, 0, 30.0, 50.0,
                                     queue::ThresholdUnit::kPackets);
   // Mirror the queue by enqueue/dequeue of unit packets; feed the fluid
@@ -155,7 +156,7 @@ TEST(AutomataAgreement, FluidAndQueueTrendPeakAgreeOnRandomWalk) {
 TEST(DegenerateHysteresis, NumericDfCollapsesToRelayClosedForm) {
   // numeric_df drives the hysteresis *automaton*, not the closed form,
   // so this checks the state machine's degenerate case too.
-  const MarkingSpec spec = MarkingSpec::hysteresis(40.0, 40.0);
+  const MarkingRule spec = MarkingRule::dt_dctcp(40.0, 40.0);
   for (double x : {45.0, 57.0, 90.0, 400.0}) {
     const Complex cf = analysis::df_dctcp(x, 40.0);
     const Complex nu = analysis::numeric_df(spec, x, 0.0);
@@ -166,8 +167,8 @@ TEST(DegenerateHysteresis, NumericDfCollapsesToRelayClosedForm) {
 
 TEST(DegenerateHysteresis, AutomatonEqualsSingleThresholdOnRandomWalk) {
   const double k = 40.0;
-  fluid::MarkingAutomaton hyst(MarkingSpec::hysteresis(k, k));
-  fluid::MarkingAutomaton relay(MarkingSpec::single(k));
+  fluid::MarkingAutomaton hyst(MarkingRule::dt_dctcp(k, k));
+  fluid::MarkingAutomaton relay(MarkingRule::dctcp(k));
   Rng rng(20260809);
   double q = 20.0;
   for (int i = 0; i < 50000; ++i) {

@@ -21,7 +21,7 @@ std::vector<workload::FctWorkloadConfig> grid_configs() {
       workload::FctWorkloadKind::kDataMining,
       workload::FctWorkloadKind::kQueryBackground,
   };
-  const workload::FctScheme schemes[] = {
+  const queue::MarkingRule schemes[] = {
       workload::FctScheme::kDctcp,
       workload::FctScheme::kDtLoop,
       workload::FctScheme::kDtBand,
@@ -195,6 +195,38 @@ TEST(FctWorkloads, FinitePoolCapsOccupancyAndStillCompletes) {
   ASSERT_GT(r.flows_completed, 0u);
   EXPECT_GT(r.pool_peak_bytes, 0u);
   EXPECT_LE(r.pool_peak_bytes, 40u * 1500u);
+}
+
+// The bottleneck runs exactly the rule in FctWorkloadConfig::scheme,
+// thresholds included, and the fluid background aggregate runs the same
+// thresholds in packets — not a fixed K per kind.
+TEST(FctWorkloads, SchemeThresholdsReachBottleneckAndFluidAggregate) {
+  workload::FctWorkloadConfig cfg;
+  cfg.kind = workload::FctWorkloadKind::kWebSearch;
+  cfg.duration = 0.2;
+  cfg.seed = 11;
+  cfg.background_flows = 20;
+  cfg.background_mode = workload::FctBackgroundMode::kFluid;
+  cfg.scheme = *queue::MarkingRule::parse("dctcp:5");
+  const auto low = workload::run_fct_workload(cfg);
+  cfg.scheme = *queue::MarkingRule::parse("dctcp:80");
+  const auto high = workload::run_fct_workload(cfg);
+  ASSERT_GT(low.flows_completed, 0u);
+  EXPECT_NE(low.marked_pkts, high.marked_pkts);
+  // The aggregate's queue settles around its own K.
+  EXPECT_LT(low.bg_queue_mean_pkts, high.bg_queue_mean_pkts);
+
+  for (const char* label : {"dctcp:5", "dctcp:80", "dt:30,50",
+                            "dt:30,50,variant=half-band", "red:20,40"}) {
+    const auto rule = *queue::MarkingRule::parse(label);
+    EXPECT_EQ(workload::fct_fluid_marking(rule), rule) << label;
+  }
+  EXPECT_EQ(workload::fct_fluid_marking(
+                *queue::MarkingRule::parse("dt:30000,45000,unit=bytes")),
+            queue::MarkingRule::dt_dctcp(20.0, 30.0));
+  // Rules the fluid model cannot express fall back to DCTCP's K = 20.
+  EXPECT_EQ(workload::fct_fluid_marking(workload::FctScheme::kCodel),
+            workload::FctScheme::kDctcp);
 }
 
 TEST(FctWorkloads, DeadlineAccountingWithD2tcp) {

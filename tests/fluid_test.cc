@@ -13,7 +13,7 @@ namespace {
 using fluid::FluidModel;
 using fluid::FluidParams;
 using fluid::FluidState;
-using fluid::MarkingSpec;
+using queue::MarkingRule;
 
 FluidParams paper_params(double flows, double rtt = 1e-3) {
   FluidParams p;
@@ -34,14 +34,14 @@ TEST(FluidOperatingPoint, MatchesClosedForm) {
 
 TEST(FluidOperatingPoint, HysteresisMidpoint) {
   FluidParams p = paper_params(10.0);
-  p.marking = MarkingSpec::hysteresis(30.0, 50.0);
+  p.marking = MarkingRule::dt_dctcp(30.0, 50.0);
   EXPECT_NEAR(fluid::operating_point(p).q, 40.0, 1e-12);
 }
 
 TEST(FluidModel, UnmarkedWindowGrowsOnePacketPerRtt) {
   // With the queue pinned far below threshold, p = 0 and dW/dt = 1/R0.
   FluidParams p = paper_params(10.0, 1e-3);
-  p.marking = MarkingSpec::single(1e9);  // never marks
+  p.marking = MarkingRule::dctcp(1e9);  // never marks
   FluidModel m(p);
   FluidState s;
   s.w = 10.0;
@@ -97,9 +97,9 @@ TEST(FluidModel, DtDctcpCycleSmallerThanDctcp) {
   // The paper's headline: hysteresis marking shrinks the oscillation.
   for (double n : {40.0, 60.0, 80.0, 100.0}) {
     FluidParams pdc = paper_params(n, 1e-3);
-    pdc.marking = MarkingSpec::single(40.0);
+    pdc.marking = MarkingRule::dctcp(40.0);
     FluidParams pdt = paper_params(n, 1e-3);
-    pdt.marking = MarkingSpec::hysteresis(30.0, 50.0);
+    pdt.marking = MarkingRule::dt_dctcp(30.0, 50.0);
 
     double amp[2];
     int i = 0;
@@ -183,7 +183,7 @@ TEST(OscillationAmplitude, SingleSampleIsZero) {
 // --- MarkingAutomaton -----------------------------------------------
 
 TEST(MarkingAutomaton, SingleThresholdIsMemorylessRelay) {
-  fluid::MarkingAutomaton a(MarkingSpec::single(40.0));
+  fluid::MarkingAutomaton a(MarkingRule::dctcp(40.0));
   EXPECT_EQ(a.update(39.9), 0.0);
   EXPECT_EQ(a.update(40.0), 1.0);
   EXPECT_EQ(a.update(39.9), 0.0);
@@ -191,7 +191,7 @@ TEST(MarkingAutomaton, SingleThresholdIsMemorylessRelay) {
 }
 
 TEST(MarkingAutomaton, HysteresisMarksK1UpToK2Down) {
-  fluid::MarkingAutomaton a(MarkingSpec::hysteresis(30.0, 50.0), 1.0);
+  fluid::MarkingAutomaton a(MarkingRule::dt_dctcp(30.0, 50.0), 1.0);
   a.reset(0.0);
   EXPECT_EQ(a.update(20.0), 0.0);
   EXPECT_EQ(a.update(31.0), 1.0);  // crossed K1 upward
@@ -203,7 +203,7 @@ TEST(MarkingAutomaton, HysteresisMarksK1UpToK2Down) {
 }
 
 TEST(MarkingAutomaton, HysteresisSubK2PeakReleasesAtPeak) {
-  fluid::MarkingAutomaton a(MarkingSpec::hysteresis(30.0, 50.0), 1.0);
+  fluid::MarkingAutomaton a(MarkingRule::dt_dctcp(30.0, 50.0), 1.0);
   a.reset(0.0);
   EXPECT_EQ(a.update(35.0), 1.0);  // crossed K1
   EXPECT_EQ(a.update(45.0), 1.0);  // rising
@@ -211,7 +211,7 @@ TEST(MarkingAutomaton, HysteresisSubK2PeakReleasesAtPeak) {
 }
 
 TEST(MarkingAutomaton, ResetClearsState) {
-  fluid::MarkingAutomaton a(MarkingSpec::hysteresis(30.0, 50.0), 1.0);
+  fluid::MarkingAutomaton a(MarkingRule::dt_dctcp(30.0, 50.0), 1.0);
   a.update(60.0);
   EXPECT_TRUE(a.marking());
   a.reset(0.0);

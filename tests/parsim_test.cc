@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/dumbbell.h"
-#include "core/marking_config.h"
 #include "parsim/fabric.h"
 #include "parsim/partition.h"
 #include "parsim/shard_runner.h"
@@ -337,8 +336,8 @@ core::DumbbellConfig paper_dumbbell(bool hysteresis) {
   core::DumbbellConfig dc;
   dc.flows = 5;
   dc.rtt = units::microseconds(100);
-  dc.marking = hysteresis ? core::MarkingConfig::dt_dctcp(40.0, 50.0)
-                          : core::MarkingConfig::dctcp(40.0);
+  dc.marking = hysteresis ? queue::MarkingRule::dt_dctcp(40.0, 50.0)
+                          : queue::MarkingRule::dctcp(40.0);
   dc.warmup = 0.05;
   dc.measure = 0.1;
   dc.trace_queue = true;

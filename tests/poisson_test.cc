@@ -165,7 +165,7 @@ TEST(Margins, StableConfigHasGainMarginAboveOne) {
   p.rtt = 1e-4;  // paper-literal regime: stable
   p.g = 1.0 / 16.0;
   const auto m = analysis::stability_margins(
-      p, fluid::MarkingSpec::single(40.0));
+      p, queue::MarkingRule::dctcp(40.0));
   EXPECT_GT(m.gain_margin, 1.0);
   EXPECT_GT(m.phase_crossing_w, 0.0);
   EXPECT_NEAR(m.critical_level, M_PI, 1e-6);
@@ -178,7 +178,7 @@ TEST(Margins, UnstableConfigHasGainMarginBelowOne) {
   p.rtt = 1e-3;  // oscillatory regime
   p.g = 1.0 / 16.0;
   const auto m = analysis::stability_margins(
-      p, fluid::MarkingSpec::single(40.0));
+      p, queue::MarkingRule::dctcp(40.0));
   EXPECT_LT(m.gain_margin, 1.0);
   EXPECT_GT(m.phase_margin_deg, -180.0);
 }
@@ -190,9 +190,9 @@ TEST(Margins, DtHasLargerGainMarginThanDc) {
   p.rtt = 1e-3;
   p.g = 1.0 / 16.0;
   const auto mdc = analysis::stability_margins(
-      p, fluid::MarkingSpec::single(40.0));
+      p, queue::MarkingRule::dctcp(40.0));
   const auto mdt = analysis::stability_margins(
-      p, fluid::MarkingSpec::hysteresis(30.0, 50.0));
+      p, queue::MarkingRule::dt_dctcp(30.0, 50.0));
   // The conservative scalar margin still orders the two designs.
   EXPECT_GT(mdt.gain_margin, mdc.gain_margin * 0.99);
 }

@@ -4,9 +4,13 @@
 
 #include <vector>
 
+#include "queue/codel.h"
 #include "queue/drop_tail.h"
 #include "queue/ecn_hysteresis.h"
 #include "queue/ecn_threshold.h"
+#include "queue/factory.h"
+#include "queue/marking_rule.h"
+#include "queue/pie.h"
 #include "queue/red.h"
 #include "util/rng.h"
 
@@ -590,6 +594,232 @@ TEST(QueueDisc, CountersTrackEveryEvent) {
   EXPECT_EQ(c.dropped, 1u);
   EXPECT_EQ(c.marked, 1u);
   EXPECT_EQ(c.bypassed, 0u);
+}
+
+// --- MarkingRule: the one description of a port's marking rule ----------
+
+using queue::MarkingRule;
+
+MarkingRule red_rule(void (*edit)(queue::RedConfig&)) {
+  queue::RedConfig c;
+  c.min_th = 30.0;
+  c.max_th = 90.0;
+  edit(c);
+  return MarkingRule::aqm(c);
+}
+
+MarkingRule pie_rule(void (*edit)(queue::PieConfig&)) {
+  queue::PieConfig c;
+  edit(c);
+  return MarkingRule::aqm(c);
+}
+
+MarkingRule codel_rule(void (*edit)(queue::CodelConfig&)) {
+  queue::CodelConfig c;
+  edit(c);
+  return MarkingRule::aqm(c);
+}
+
+// The default of each kind prints the labels the atlas tables, the CLI
+// and the gated bench rows have always used.
+TEST(MarkingRule, DefaultLabelsKeepTheirSpelling) {
+  EXPECT_EQ(MarkingRule::drop_tail().label(), "droptail");
+  EXPECT_EQ(MarkingRule::dctcp(40.0).label(), "dctcp:40");
+  EXPECT_EQ(MarkingRule::dt_dctcp(20.0, 40.0).label(), "dt:20,40");
+  EXPECT_EQ(red_rule([](queue::RedConfig&) {}).label(), "red:30,90");
+  EXPECT_EQ(MarkingRule::aqm(queue::PieConfig{}).label(), "pie:50us");
+  EXPECT_EQ(MarkingRule::aqm(queue::CodelConfig{}).label(), "codel:50us");
+}
+
+// parse(label(r)) == r for every field of every kind moved off its
+// default, one at a time and together, including values "%g" would
+// round.
+TEST(MarkingRule, LabelRoundTripsEveryField) {
+  using queue::HysteresisVariant;
+  using queue::MarkPoint;
+  using queue::ThresholdUnit;
+  const MarkingRule rules[] = {
+      MarkingRule::drop_tail(),
+      MarkingRule::dctcp(40.0),
+      MarkingRule::dctcp(0.0),
+      MarkingRule::dctcp(0.1 + 0.2),
+      MarkingRule::dctcp(32 * 1024, ThresholdUnit::kBytes),
+      MarkingRule::dctcp(40.0, ThresholdUnit::kPackets, MarkPoint::kDequeue),
+      MarkingRule::dctcp(1234567.0, ThresholdUnit::kBytes,
+                         MarkPoint::kDequeue),
+      MarkingRule::dt_dctcp(30.0, 50.0),
+      MarkingRule::dt_dctcp(40.0, 40.0),
+      MarkingRule::dt_dctcp(28 * 1024, 34 * 1024, ThresholdUnit::kBytes),
+      MarkingRule::dt_dctcp(15.0, 25.0, ThresholdUnit::kPackets,
+                            HysteresisVariant::kDrainToStart),
+      MarkingRule::dt_dctcp(15.0, 25.0, ThresholdUnit::kBytes,
+                            HysteresisVariant::kHalfBand),
+      red_rule([](queue::RedConfig& c) { c.min_th = 2.5; }),
+      red_rule([](queue::RedConfig& c) { c.max_th = 1e6; }),
+      red_rule([](queue::RedConfig& c) { c.max_p = 1.0 / 3.0; }),
+      red_rule([](queue::RedConfig& c) { c.weight = 0.004; }),
+      red_rule([](queue::RedConfig& c) { c.gentle = false; }),
+      red_rule([](queue::RedConfig& c) { c.ecn_mode = false; }),
+      red_rule([](queue::RedConfig& c) { c.seed = 18446744073709551615ull; }),
+      red_rule([](queue::RedConfig& c) {
+        c.max_p = 0.2;
+        c.weight = 0.01;
+        c.gentle = false;
+        c.ecn_mode = false;
+        c.seed = 7;
+      }),
+      pie_rule([](queue::PieConfig& c) { c.target_delay = 100e-6; }),
+      pie_rule([](queue::PieConfig& c) { c.target_delay = 1e-4 / 3.0; }),
+      pie_rule([](queue::PieConfig& c) { c.update_interval = 15e-6; }),
+      pie_rule([](queue::PieConfig& c) { c.alpha = 125.0; }),
+      pie_rule([](queue::PieConfig& c) { c.beta = 1250.0; }),
+      pie_rule([](queue::PieConfig& c) { c.seed = 0; }),
+      pie_rule([](queue::PieConfig& c) {
+        c.target_delay = 20e-6;
+        c.update_interval = 30e-6;
+        c.alpha = 0.5;
+        c.beta = 5.0;
+        c.seed = 11;
+      }),
+      codel_rule([](queue::CodelConfig& c) { c.target = 5e-3; }),
+      codel_rule([](queue::CodelConfig& c) { c.interval = 100e-3; }),
+  };
+  for (const auto& r : rules) {
+    const auto parsed = MarkingRule::parse(r.label());
+    ASSERT_TRUE(parsed.has_value()) << r.label();
+    EXPECT_EQ(*parsed, r) << r.label();
+  }
+  // Distinct rules never share a label.
+  for (const auto& a : rules) {
+    for (const auto& b : rules) {
+      if (!(a == b)) {
+        EXPECT_NE(a.label(), b.label());
+      }
+    }
+  }
+}
+
+TEST(MarkingRule, ParsesEveryKind) {
+  using queue::ThresholdUnit;
+  queue::RedConfig red;
+  red.min_th = 30.0;
+  red.max_th = 90.0;
+  red.max_p = 0.2;
+  red.weight = 0.004;
+  red.gentle = false;
+  red.ecn_mode = false;
+  red.seed = 9;
+  queue::PieConfig pie;
+  pie.target_delay = 100e-6;
+  pie.update_interval = 200e-6;
+  pie.alpha = 125.0;
+  pie.beta = 1250.0;
+  pie.seed = 4;
+  queue::CodelConfig codel;
+  codel.target = 100e-6;
+  codel.interval = 1e-3;
+  const struct {
+    const char* label;
+    MarkingRule want;
+  } cases[] = {
+      {"droptail", MarkingRule::drop_tail()},
+      {"dctcp:40", MarkingRule::dctcp(40.0)},
+      {"dctcp:0", MarkingRule::dctcp(0.0)},
+      {"dctcp:32768,unit=bytes",
+       MarkingRule::dctcp(32768.0, ThresholdUnit::kBytes)},
+      {"dctcp:40,at=dequeue",
+       MarkingRule::dctcp(40.0, ThresholdUnit::kPackets,
+                          queue::MarkPoint::kDequeue)},
+      {"dctcp:40,unit=packets,at=arrival", MarkingRule::dctcp(40.0)},
+      {"dt:30,50", MarkingRule::dt_dctcp(30.0, 50.0)},
+      {"dt:40,40", MarkingRule::dt_dctcp(40.0, 40.0)},
+      {"dt:1.5e3,3e3,unit=bytes",
+       MarkingRule::dt_dctcp(1500.0, 3000.0, ThresholdUnit::kBytes)},
+      {"dt:30,50,variant=half-band",
+       MarkingRule::dt_dctcp(30.0, 50.0, ThresholdUnit::kPackets,
+                             queue::HysteresisVariant::kHalfBand)},
+      {"dt:30,50,variant=drain-to-start,unit=bytes",
+       MarkingRule::dt_dctcp(30.0, 50.0, ThresholdUnit::kBytes,
+                             queue::HysteresisVariant::kDrainToStart)},
+      {"red:30,90,max_p=0.2,weight=0.004,gentle=0,ecn=0,seed=9",
+       MarkingRule::aqm(red)},
+      {"pie", MarkingRule::aqm(queue::PieConfig{})},
+      {"pie:50us", MarkingRule::aqm(queue::PieConfig{})},
+      {"pie:100us,update=200us,alpha=125,beta=1250,seed=4",
+       MarkingRule::aqm(pie)},
+      {"codel", MarkingRule::aqm(queue::CodelConfig{})},
+      {"codel:100us,interval=1000us", MarkingRule::aqm(codel)},
+  };
+  for (const auto& c : cases) {
+    const auto got = MarkingRule::parse(c.label);
+    ASSERT_TRUE(got.has_value()) << c.label;
+    EXPECT_EQ(*got, c.want) << c.label;
+  }
+}
+
+TEST(MarkingRule, RejectsMalformedLabels) {
+  const char* bad[] = {
+      // unknown kind, missing or empty arguments
+      "", "nonsense", "DCTCP:40", "dctcp", "dctcp:", "dctcp:,40",
+      "dctcp:40,", "droptail:", "droptail:5", "dt:40", "red:30",
+      // non-numeric, trailing, or non-finite text
+      "dctcp:abc", "dctcp:40abc", "dctcp: 40", "dctcp:+40", "dctcp:nan",
+      "dctcp:inf", "dt:30,5O",
+      // out-of-range thresholds
+      "dctcp:-5", "dt:50,30", "dt:-1,50", "red:90,30", "red:30,30",
+      // wrong argument counts
+      "dctcp:40,50", "dt:30,50,60", "pie:50us,100us", "codel:50us,500us",
+      // keys: unknown, wrong kind, malformed, repeated, out of order
+      "dctcp:40,unit=kb", "dctcp:40,unit=", "dctcp:40,=bytes",
+      "dctcp:40,variant=half-band", "dt:30,50,at=dequeue",
+      "dt:30,50,variant=loop", "dctcp:40,unit=bytes,unit=bytes",
+      "dctcp:unit=bytes,40", "pie:50us,unit=bytes", "droptail,unit=bytes",
+      "red:30,90,max_p=0", "red:30,90,max_p=1.5", "red:30,90,weight=2",
+      "red:30,90,gentle=2", "red:30,90,ecn=yes", "red:30,90,seed=-1",
+      "red:30,90,seed=1.5", "pie:50us,alpha=-1", "pie:50us,update=0us",
+      "codel:interval=0us",
+      // times need their unit and must be positive
+      "pie:50", "pie:50ms", "pie:0us", "pie:-5us", "codel:us",
+  };
+  for (const char* label : bad) {
+    EXPECT_FALSE(MarkingRule::parse(label).has_value()) << label;
+  }
+}
+
+TEST(MarkingRule, QueueFactoryBuildsTheMatchingDiscipline) {
+  const auto make = [](const MarkingRule& r) {
+    return r.queue_factory(0, 100, 1e9)();
+  };
+  EXPECT_NE(dynamic_cast<queue::DropTailQueue*>(
+                make(MarkingRule::drop_tail()).get()),
+            nullptr);
+
+  const auto t = make(MarkingRule::dctcp(32768.0, queue::ThresholdUnit::kBytes,
+                                         queue::MarkPoint::kDequeue));
+  const auto* tq = dynamic_cast<queue::EcnThresholdQueue*>(t.get());
+  ASSERT_NE(tq, nullptr);
+  EXPECT_EQ(tq->threshold(), 32768.0);
+  EXPECT_EQ(tq->unit(), queue::ThresholdUnit::kBytes);
+  EXPECT_EQ(tq->mark_point(), queue::MarkPoint::kDequeue);
+
+  const auto h = make(MarkingRule::dt_dctcp(
+      15.0, 25.0, queue::ThresholdUnit::kPackets,
+      queue::HysteresisVariant::kHalfBand));
+  const auto* hq = dynamic_cast<queue::EcnHysteresisQueue*>(h.get());
+  ASSERT_NE(hq, nullptr);
+  EXPECT_EQ(hq->start_threshold(), 15.0);
+  EXPECT_EQ(hq->stop_threshold(), 25.0);
+  EXPECT_EQ(hq->variant(), queue::HysteresisVariant::kHalfBand);
+
+  EXPECT_NE(dynamic_cast<queue::RedQueue*>(
+                make(red_rule([](queue::RedConfig&) {})).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<queue::PieQueue*>(
+                make(MarkingRule::aqm(queue::PieConfig{})).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<queue::CodelQueue*>(
+                make(MarkingRule::aqm(queue::CodelConfig{})).get()),
+            nullptr);
 }
 
 }  // namespace

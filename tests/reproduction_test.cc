@@ -33,8 +33,8 @@ core::DumbbellConfig sweep_cfg(std::size_t flows, bool dt) {
   cfg.bottleneck_bps = units::gbps(10);
   cfg.edge_bps = units::gbps(10);
   cfg.rtt = units::microseconds(100);
-  cfg.marking = dt ? core::MarkingConfig::dt_dctcp(30.0, 50.0)
-                   : core::MarkingConfig::dctcp(40.0);
+  cfg.marking = dt ? queue::MarkingRule::dt_dctcp(30.0, 50.0)
+                   : queue::MarkingRule::dctcp(40.0);
   cfg.tcp.mode = tcp::CcMode::kDctcp;
   cfg.switch_buffer_packets = 100;
   cfg.start_spread = units::microseconds(100);
@@ -73,9 +73,9 @@ TEST(Reproduction, Fig9CriticalFlowOrderingInOscillatoryRegime) {
   p.rtt = 1e-3;
   p.g = 1.0 / 16.0;
   const int ndc =
-      analysis::critical_flows(p, fluid::MarkingSpec::single(40.0), 5, 200);
+      analysis::critical_flows(p, queue::MarkingRule::dctcp(40.0), 5, 200);
   const int ndt = analysis::critical_flows(
-      p, fluid::MarkingSpec::hysteresis(30.0, 50.0), 5, 200);
+      p, queue::MarkingRule::dt_dctcp(30.0, 50.0), 5, 200);
   ASSERT_GT(ndc, 0);
   ASSERT_GT(ndt, 0);
   EXPECT_LT(ndc, ndt);  // Theorem ordering: DT-DCTCP stable for larger N
@@ -89,7 +89,7 @@ TEST(Reproduction, Fig9PaperLiteralParametersAreStable) {
   p.rtt = 1e-4;
   p.g = 1.0 / 16.0;
   p.flows = 60.0;
-  EXPECT_FALSE(analysis::analyze(p, fluid::MarkingSpec::single(40.0))
+  EXPECT_FALSE(analysis::analyze(p, queue::MarkingRule::dctcp(40.0))
                    .intersects);
 }
 
@@ -102,7 +102,7 @@ TEST(Reproduction, DfFrequencyMatchesFluidOscillationPeriod) {
   p.g = 1.0 / 16.0;
   p.flows = 80.0;
   const auto report =
-      analysis::analyze(p, fluid::MarkingSpec::single(40.0));
+      analysis::analyze(p, queue::MarkingRule::dctcp(40.0));
   ASSERT_TRUE(report.intersects);
   double df_freq = 0.0;
   for (const auto& c : report.cycles) {
@@ -115,7 +115,7 @@ TEST(Reproduction, DfFrequencyMatchesFluidOscillationPeriod) {
   fp.flows = p.flows;
   fp.rtt = p.rtt;
   fp.g = p.g;
-  fp.marking = fluid::MarkingSpec::single(40.0);
+  fp.marking = queue::MarkingRule::dctcp(40.0);
   fluid::FluidModel model(fp);
   auto s = fluid::operating_point(fp);
   s.q += 5.0;
@@ -139,9 +139,9 @@ TEST(Reproduction, Fig14DtPostponesIncastCollapse) {
   cfg.tcp.min_rto = 0.2;
   cfg.tcp.init_rto = 0.2;
   cfg.testbed.marking =
-      core::MarkingConfig::dctcp(32 * 1024, queue::ThresholdUnit::kBytes);
+      queue::MarkingRule::dctcp(32 * 1024, queue::ThresholdUnit::kBytes);
   const auto dc = core::run_incast(cfg);
-  cfg.testbed.marking = core::MarkingConfig::dt_dctcp(
+  cfg.testbed.marking = queue::MarkingRule::dt_dctcp(
       28 * 1024, 34 * 1024, queue::ThresholdUnit::kBytes);
   const auto dt = core::run_incast(cfg);
   EXPECT_GT(dt.goodput_mean_bps, dc.goodput_mean_bps);

@@ -72,9 +72,9 @@ RandomWorld build_world(Rng& rng) {
         break;
       default: {
         const double k1 = rng.uniform(5.0, 25.0);
-        disc = queue::ecn_hysteresis(
-            0, static_cast<std::size_t>(rng.uniform_int(32, 200)), k1,
-            k1 + rng.uniform(2.0, 25.0), queue::ThresholdUnit::kPackets);
+        const double k2 = k1 + rng.uniform(2.0, 25.0);
+        disc = queue::MarkingRule::dt_dctcp(k1, k2).queue_factory(
+            0, static_cast<std::size_t>(rng.uniform_int(32, 200)));
         break;
       }
     }

@@ -17,7 +17,10 @@ Two subcommands:
       fails on a rise, and "critical_n" (the stability atlas's
       limit-cycle onset, deterministic math) must match the baseline
       exactly — any shift in either direction fails regardless of FRAC.
-      Exits non-zero when any gated metric regressed by more than FRAC
+      Every gated baseline row must also be present in CURRENT: a row
+      that was renamed or vanished is listed and fails, since it would
+      otherwise drop its gate silently. Exits non-zero when a gated
+      row is missing or any gated metric regressed by more than FRAC
       (default 0.10) relative to the baseline.
 
 Only the standard library is used.
@@ -82,6 +85,10 @@ def cmd_compare(args):
         print("error: no common gated benchmarks to compare",
               file=sys.stderr)
         return 2
+    missing = sorted(set(base) - set(cur))
+    for metric, name in missing:
+        print(f"{name}: baseline {base[(metric, name)]:.6g} {metric}, "
+              f"missing from current MISSING")
     failed = False
     for metric, name in common:
         key = (metric, name)
@@ -103,12 +110,14 @@ def cmd_compare(args):
         print(f"{name}: baseline {base[key]:.6g} {metric}, "
               f"current {cur[key]:.6g} {metric} "
               f"({(ratio - 1.0) * 100:+.1f}%) {verdict}")
+    if missing:
+        print(f"fail: {len(missing)} gated baseline row(s) missing from "
+              f"the current run", file=sys.stderr)
     if failed:
         print(f"fail: a gated metric regressed more than "
               f"{args.max_regression * 100:.0f}% vs baseline",
               file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed or missing else 0
 
 
 def main():

@@ -2,15 +2,15 @@
 // writing C++.
 //
 //   dtdctcp_cli dumbbell --flows 60 --marking dt:30,50 --measure 0.3
-//   dtdctcp_cli incast   --flows 36 --marking dctcp:32768 --unit bytes
+//   dtdctcp_cli incast   --flows 36 --marking dctcp:32768,unit=bytes
 //   dtdctcp_cli nyquist  --rtt-ms 1 --flows 80 --marking dt:30,50
 //   dtdctcp_cli fluid    --flows 80 --rtt-ms 1 --marking dctcp:40
 //   dtdctcp_cli fct      --load 0.6 --marking dt:15,25 --duration 0.5
 //   dtdctcp_cli sweep    --from 10 --to 100 --step 5 --marking dt:30,50 \
 //                        --jobs 8
 //
-// Marking syntax: "dctcp:<K>" or "dt:<K1>,<K2>" with thresholds in the
-// unit selected by --unit (packets by default).
+// Marking syntax: one queue::MarkingRule label (queue/marking_rule.h),
+// e.g. "dt:30,50,variant=half-band"; --unit bytes appends ",unit=bytes".
 //
 // --jobs N applies to any command that runs a grid of simulations (the
 // sweep): N worker threads, 1 = serial. It overrides the DTDCTCP_JOBS
@@ -31,34 +31,17 @@ using namespace dtdctcp;
 
 namespace {
 
-std::optional<core::MarkingConfig> parse_marking(const std::string& spec,
-                                                 queue::ThresholdUnit unit) {
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos) return std::nullopt;
-  const std::string kind = spec.substr(0, colon);
-  const std::string rest = spec.substr(colon + 1);
-  if (kind == "dctcp") {
-    return core::MarkingConfig::dctcp(std::atof(rest.c_str()), unit);
-  }
-  if (kind == "dt") {
-    const auto comma = rest.find(',');
-    if (comma == std::string::npos) return std::nullopt;
-    const double k1 = std::atof(rest.substr(0, comma).c_str());
-    const double k2 = std::atof(rest.substr(comma + 1).c_str());
-    if (k1 > k2) return std::nullopt;
-    return core::MarkingConfig::dt_dctcp(k1, k2, unit);
-  }
-  return std::nullopt;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: dtdctcp_cli <dumbbell|incast|nyquist|fluid|fct|"
                "hybrid|sweep|atlas> [options]\n"
                "common options:\n"
                "  --flows N            number of flows (default 10)\n"
-               "  --marking SPEC       dctcp:<K> or dt:<K1>,<K2> "
-               "(default dctcp:40)\n"
+               "  --marking RULE       droptail | dctcp:K | dt:K1,K2 | "
+               "red:MIN,MAX | pie[:Tus] |\n"
+               "                       codel[:Tus], then key=value fields "
+               "(default dctcp:40;\n"
+               "                       hybrid dctcp:20)\n"
                "  --unit packets|bytes threshold unit (default packets)\n"
                "  --jobs N             worker threads for simulation "
                "grids (1 = serial;\n"
@@ -78,7 +61,8 @@ int usage() {
                "sweep:    --from N --to N --step N plus the dumbbell "
                "options\n"
                "atlas:    --markings \"dctcp:40;dt:20,40;red:30,90;pie\" "
-               "--cc dctcp,ecn-reno,d2tcp\n"
+               "(';'-separated RULEs)\n"
+               "          --cc dctcp,ecn-reno,d2tcp\n"
                "          --rtts-us L --rates-gbps L --buffers L "
                "--nlo N --nhi N --g G\n"
                "          --d2tcp-d D --csv PATH --gnuplot PATH\n");
@@ -86,7 +70,7 @@ int usage() {
 }
 
 core::DumbbellConfig dumbbell_config(const Args& args,
-                                     const core::MarkingConfig& marking) {
+                                     const queue::MarkingRule& marking) {
   core::DumbbellConfig cfg;
   cfg.flows = static_cast<std::size_t>(args.get_int("flows", 10));
   cfg.bottleneck_bps = units::gbps(args.get_double("rate-gbps", 10.0));
@@ -101,7 +85,7 @@ core::DumbbellConfig dumbbell_config(const Args& args,
   return cfg;
 }
 
-int run_dumbbell_cmd(const Args& args, const core::MarkingConfig& marking) {
+int run_dumbbell_cmd(const Args& args, const queue::MarkingRule& marking) {
   const auto cfg = dumbbell_config(args, marking);
   const auto r = core::run_dumbbell(cfg);
   std::printf("flows        %zu\n", cfg.flows);
@@ -119,7 +103,7 @@ int run_dumbbell_cmd(const Args& args, const core::MarkingConfig& marking) {
   return 0;
 }
 
-int run_incast_cmd(const Args& args, const core::MarkingConfig& marking) {
+int run_incast_cmd(const Args& args, const queue::MarkingRule& marking) {
   core::IncastExperimentConfig cfg;
   cfg.flows = static_cast<std::size_t>(args.get_int("flows", 9));
   cfg.bytes_per_worker =
@@ -142,14 +126,14 @@ int run_incast_cmd(const Args& args, const core::MarkingConfig& marking) {
   return 0;
 }
 
-int run_nyquist_cmd(const Args& args, const core::MarkingConfig& marking) {
+int run_nyquist_cmd(const Args& args, const queue::MarkingRule& marking) {
   analysis::PlantParams plant;
   plant.capacity_pps = units::packets_per_second(
       units::gbps(args.get_double("rate-gbps", 10.0)), 1500);
   plant.flows = args.get_double("flows", 60.0);
   plant.rtt = args.get_double("rtt-ms", 1.0) * 1e-3;
   plant.g = args.get_double("g", 1.0 / 16.0);
-  const auto spec = marking.fluid_spec(1500);
+  const auto spec = marking.in_packets(1500);
   const auto report = analysis::analyze(plant, spec);
   std::printf("crossing_real      %.4f at w=%.1f rad/s\n",
               report.crossing_real, report.crossing_omega);
@@ -166,7 +150,7 @@ int run_nyquist_cmd(const Args& args, const core::MarkingConfig& marking) {
   return 0;
 }
 
-int run_fct_cmd(const Args& args, const core::MarkingConfig& marking) {
+int run_fct_cmd(const Args& args, const queue::MarkingRule& marking) {
   sim::LeafSpineConfig fab_cfg;
   fab_cfg.spines = static_cast<std::size_t>(args.get_int("spines", 2));
   fab_cfg.leaves = static_cast<std::size_t>(args.get_int("leaves", 4));
@@ -176,7 +160,7 @@ int run_fct_cmd(const Args& args, const core::MarkingConfig& marking) {
   fab_cfg.fabric_link_bps =
       units::gbps(args.get_double("fabric-gbps", 4.0));
   auto fab = sim::build_leaf_spine(
-      fab_cfg, marking.queue_factory(0, 250));
+      fab_cfg, marking.queue_factory(0, 250, fab_cfg.host_link_bps));
 
   tcp::TcpConfig tcp_cfg;
   tcp_cfg.mode = tcp::CcMode::kDctcp;
@@ -218,7 +202,7 @@ int run_fct_cmd(const Args& args, const core::MarkingConfig& marking) {
   return 0;
 }
 
-int run_sweep_cmd(const Args& args, const core::MarkingConfig& marking) {
+int run_sweep_cmd(const Args& args, const queue::MarkingRule& marking) {
   const auto from = static_cast<std::size_t>(args.get_int("from", 10));
   const auto to = static_cast<std::size_t>(args.get_int("to", 100));
   const auto step = static_cast<std::size_t>(args.get_int("step", 5));
@@ -265,14 +249,14 @@ int run_sweep_cmd(const Args& args, const core::MarkingConfig& marking) {
   return 0;
 }
 
-int run_fluid_cmd(const Args& args, const core::MarkingConfig& marking) {
+int run_fluid_cmd(const Args& args, const queue::MarkingRule& marking) {
   fluid::FluidParams p;
   p.capacity_pps = units::packets_per_second(
       units::gbps(args.get_double("rate-gbps", 10.0)), 1500);
   p.flows = args.get_double("flows", 60.0);
   p.rtt = args.get_double("rtt-ms", 1.0) * 1e-3;
   p.g = args.get_double("g", 1.0 / 16.0);
-  p.marking = marking.fluid_spec(1500);
+  p.marking = marking.in_packets(1500);
   p.dynamic_rtt = args.has("dynamic-rtt");
   const double duration = args.get_double("duration", 2.0);
 
@@ -298,14 +282,11 @@ int run_fluid_cmd(const Args& args, const core::MarkingConfig& marking) {
 // Hybrid co-simulation: Poisson foreground FCT workload plus a
 // background share of long-lived flows, realized either as one fluid
 // aggregate (src/hybrid, O(1) in N) or as real packet connections (the
-// cross-validation baseline). Marking maps onto the FCT schemes:
-// dctcp:<K> -> single threshold, dt:<K1>,<K2> -> DT-DCTCP hysteresis.
-int run_hybrid_cmd(const Args& args) {
+// cross-validation baseline). The bottleneck and the fluid aggregate
+// both run --marking.
+int run_hybrid_cmd(const Args& args, const queue::MarkingRule& marking) {
   workload::FctWorkloadConfig cfg;
-  const std::string marking_spec = args.get("marking", "dctcp:40");
-  cfg.scheme = marking_spec.rfind("dt:", 0) == 0
-                   ? workload::FctScheme::kDtLoop
-                   : workload::FctScheme::kDctcp;
+  cfg.scheme = marking;
   const std::string kind = args.get("workload", "websearch");
   cfg.kind = kind == "datamining" ? workload::FctWorkloadKind::kDataMining
              : kind == "querybg"  ? workload::FctWorkloadKind::kQueryBackground
@@ -373,12 +354,12 @@ int run_atlas_cmd(const Args& args) {
   analysis::AtlasConfig cfg;
   for (const auto& label :
        split(args.get("markings", "dctcp:40;dt:20,40"), ';')) {
-    fluid::MarkingSpec spec;
-    if (!analysis::parse_marking_label(label, &spec)) {
-      std::fprintf(stderr, "bad marking label '%s'\n", label.c_str());
+    const auto marking = queue::MarkingRule::parse(label);
+    if (!marking || !analysis::MarkingModel::supports(*marking)) {
+      std::fprintf(stderr, "bad or unmodeled marking '%s'\n", label.c_str());
       return usage();
     }
-    cfg.markings.push_back(spec);
+    cfg.markings.push_back(marking->in_packets(cfg.mss_bytes));
   }
   cfg.ccs.clear();
   for (const auto& cc : split(args.get("cc", "dctcp"), ',')) {
@@ -434,7 +415,7 @@ int run_atlas_cmd(const Args& args) {
   for (const auto& c : atlas.cells) {
     std::printf(
         "%-12s %-9s %8.0f %6.1f %6.0f | %5d %5d | %9.2f %9.1f %4s %8.2f\n",
-        analysis::marking_label(c.spec).c_str(), analysis::cc_label(c.cc),
+        c.marking.label().c_str(), analysis::cc_label(c.cc),
         c.rtt * 1e6, c.rate_bps / 1e9, c.buffer_pkts, c.onset.critical_n,
         c.onset.stable_n, c.amplitude_pkts, c.frequency_hz,
         c.clipped ? "yes" : "no", c.gain_margin_db);
@@ -478,12 +459,16 @@ int main(int argc, char** argv) {
   const Args& args = *parsed;
   const std::string cmd = args.positional().front();
 
-  const queue::ThresholdUnit unit = args.get("unit", "packets") == "bytes"
-                                        ? queue::ThresholdUnit::kBytes
-                                        : queue::ThresholdUnit::kPackets;
-  const auto marking = parse_marking(args.get("marking", "dctcp:40"), unit);
-  if (!marking) {
-    std::fprintf(stderr, "bad --marking spec\n");
+  // --unit bytes is shorthand for the label's own unit=bytes field.
+  std::string label = args.get("marking", cmd == "hybrid" ? "dctcp:20"
+                                                          : "dctcp:40");
+  if (args.get("unit", "packets") == "bytes") label += ",unit=bytes";
+  const auto marking = queue::MarkingRule::parse(label);
+  // The fluid model and the DF analysis take only rules they can model.
+  if (!marking ||
+      (cmd == "fluid" && !fluid::MarkingAutomaton::models(*marking)) ||
+      (cmd == "nyquist" && !analysis::MarkingModel::supports(*marking))) {
+    std::fprintf(stderr, "bad or unmodeled --marking '%s'\n", label.c_str());
     return usage();
   }
 
@@ -499,7 +484,7 @@ int main(int argc, char** argv) {
   if (cmd == "nyquist") return run_nyquist_cmd(args, *marking);
   if (cmd == "fluid") return run_fluid_cmd(args, *marking);
   if (cmd == "fct") return run_fct_cmd(args, *marking);
-  if (cmd == "hybrid") return run_hybrid_cmd(args);
+  if (cmd == "hybrid") return run_hybrid_cmd(args, *marking);
   if (cmd == "sweep") return run_sweep_cmd(args, *marking);
   if (cmd == "atlas") return run_atlas_cmd(args);
   return usage();
