@@ -9,7 +9,7 @@
 #include "bench/bench_common.h"
 #include "queue/factory.h"
 #include "runner/runner.h"
-#include "sim/leaf_spine.h"
+#include "sim/fabric.h"
 #include "workload/fct_workloads.h"
 #include "workload/poisson_flows.h"
 

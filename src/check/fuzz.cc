@@ -16,7 +16,6 @@
 #include "queue/factory.h"
 #include "queue/multi_queue.h"
 #include "sim/fabric.h"
-#include "sim/leaf_spine.h"
 #include "sim/network.h"
 #include "tcp/connection.h"
 #include "util/rng.h"
@@ -53,17 +52,49 @@ struct Rig {
   // it from their destructors when the network is torn down.
   std::unique_ptr<sim::SharedBufferPool> pool;
   std::unique_ptr<sim::Network> owned_net;  ///< dumbbell / incast
-  sim::LeafSpine fabric;                    ///< leaf-spine (owns its net)
-  /// Fat-tree (owns its net). Heap-allocated so link-event closures
-  /// capturing the FatTree* stay valid when the Rig is moved out of
-  /// build_rig.
-  std::unique_ptr<sim::FatTree> fat;
+  /// Leaf-spine or fat-tree (owns its net). Heap-allocated so link-event
+  /// closures capturing the Clos* stay valid when the Rig is moved out
+  /// of build_rig.
+  std::unique_ptr<sim::Clos> fabric;
   sim::Network* net = nullptr;
   std::vector<std::unique_ptr<tcp::Connection>> conns;
   /// Declared last so it is destroyed first: its destructor detaches
   /// the coupling gauges from the still-live bottleneck port.
   std::unique_ptr<hybrid::FluidBackground> fluid_bg;
 };
+
+/// Leaf-spine and fat-tree rigs share one block; dumbbell and incast
+/// rigs share the other (and only they install a shared-buffer pool).
+bool is_fabric(FuzzTopology t) {
+  return t == FuzzTopology::kLeafSpine || t == FuzzTopology::kFatTree;
+}
+
+sim::LeafSpineConfig leaf_spine_config(const FuzzScenario& sc) {
+  sim::LeafSpineConfig cfg;
+  cfg.spines = 2;
+  cfg.leaves = 3;
+  cfg.hosts_per_leaf = 3;
+  cfg.host_link_bps = units::gbps(sc.edge_gbps);
+  cfg.fabric_link_bps = units::gbps(sc.bottleneck_gbps);
+  cfg.host_link_delay = units::microseconds(sc.rtt_us) / 4.0;
+  cfg.fabric_link_delay = units::microseconds(sc.rtt_us) / 4.0;
+  return cfg;
+}
+
+sim::FatTreeConfig fat_tree_config(const FuzzScenario& sc) {
+  sim::FatTreeConfig cfg;
+  cfg.k = sc.fat_k;
+  if (sc.fat_oversub) cfg.hosts_per_edge = cfg.radix() * 2;
+  cfg.host_link_bps = units::gbps(sc.edge_gbps);
+  cfg.edge_agg_bps = units::gbps(sc.bottleneck_gbps);
+  cfg.agg_core_bps = units::gbps(sc.bottleneck_gbps);
+  cfg.host_link_delay = units::microseconds(sc.rtt_us) / 8.0;
+  cfg.edge_agg_delay = units::microseconds(sc.rtt_us) / 8.0;
+  cfg.agg_core_delay = units::microseconds(sc.rtt_us) / 4.0;
+  cfg.ecmp = sim::EcmpMode::kBalanced;
+  cfg.ecmp_seed = sc.seed;
+  return cfg;
+}
 
 Rig build_rig(const FuzzScenario& sc) {
   Rig rig;
@@ -76,49 +107,7 @@ Rig build_rig(const FuzzScenario& sc) {
   const sim::QueueFactory marking_disc = sc.marking.queue_factory(
       0, sc.buffer_packets, units::gbps(sc.bottleneck_gbps));
 
-  if (sc.topology == FuzzTopology::kLeafSpine) {
-    sim::LeafSpineConfig lcfg;
-    lcfg.spines = 2;
-    lcfg.leaves = 3;
-    lcfg.hosts_per_leaf = 3;
-    lcfg.host_link_bps = units::gbps(sc.edge_gbps);
-    lcfg.fabric_link_bps = units::gbps(sc.bottleneck_gbps);
-    lcfg.host_link_delay = units::microseconds(sc.rtt_us) / 4.0;
-    lcfg.fabric_link_delay = units::microseconds(sc.rtt_us) / 4.0;
-    rig.fabric = sim::build_leaf_spine(lcfg, marking_disc);
-    rig.net = rig.fabric.net.get();
-
-    const std::int64_t n_hosts =
-        static_cast<std::int64_t>(rig.fabric.hosts.size());
-    for (int i = 0; i < sc.flows; ++i) {
-      // Mostly cross-rack pairs so flows traverse the fabric marking
-      // queues; same-rack pairs still exercise the leaf hop.
-      const std::int64_t src = rng.uniform_int(0, n_hosts - 1);
-      std::int64_t dst = rng.uniform_int(0, n_hosts - 2);
-      if (dst >= src) ++dst;
-      auto conn = std::make_unique<tcp::Connection>(
-          *rig.net, *rig.fabric.hosts[static_cast<std::size_t>(src)],
-          *rig.fabric.hosts[static_cast<std::size_t>(dst)], tcp_cfg,
-          sc.segments_per_flow);
-      conn->start_at(rng.uniform(0.0, spread + 1e-9));
-      rig.conns.push_back(std::move(conn));
-    }
-    return rig;
-  }
-
-  if (sc.topology == FuzzTopology::kFatTree) {
-    sim::FatTreeConfig fcfg;
-    fcfg.k = sc.fat_k;
-    if (sc.fat_oversub) fcfg.hosts_per_edge = fcfg.radix() * 2;
-    fcfg.host_link_bps = units::gbps(sc.edge_gbps);
-    fcfg.edge_agg_bps = units::gbps(sc.bottleneck_gbps);
-    fcfg.agg_core_bps = units::gbps(sc.bottleneck_gbps);
-    fcfg.host_link_delay = units::microseconds(sc.rtt_us) / 8.0;
-    fcfg.edge_agg_delay = units::microseconds(sc.rtt_us) / 8.0;
-    fcfg.agg_core_delay = units::microseconds(sc.rtt_us) / 4.0;
-    fcfg.ecmp = sim::EcmpMode::kBalanced;
-    fcfg.ecmp_seed = sc.seed;
-
+  if (is_fabric(sc.topology)) {
     sim::QueueFactory disc = marking_disc;
     if (sc.priority_classes >= 2) {
       disc = queue::multi_queue(
@@ -126,39 +115,42 @@ Rig build_rig(const FuzzScenario& sc) {
           sc.sched_policy == 1 ? queue::SchedPolicy::kWrr
                                : queue::SchedPolicy::kStrictPriority);
     }
-    rig.fat = std::make_unique<sim::FatTree>(sim::build_fat_tree(fcfg, disc));
-    rig.net = rig.fat->net.get();
+    rig.fabric = std::make_unique<sim::Clos>(
+        sc.topology == FuzzTopology::kFatTree
+            ? sim::build_fat_tree(fat_tree_config(sc), disc)
+            : sim::build_leaf_spine(leaf_spine_config(sc), disc));
+    rig.net = rig.fabric->net.get();
 
     if (sc.fail_at_us >= 0.0) {
-      sim::FatTree* ft = rig.fat.get();
+      sim::Clos* fab = rig.fabric.get();
       const std::size_t link = sc.fail_link;
       const SimTime t_down = units::microseconds(sc.fail_at_us);
-      rig.net->sim().at(t_down, [ft, link, t_down] {
-        ft->set_link_state(link, false, t_down);
+      rig.net->sim().at(t_down, [fab, link, t_down] {
+        fab->set_link_state(link, false, t_down);
       });
       if (sc.recover_at_us > sc.fail_at_us) {
         const SimTime t_up = units::microseconds(sc.recover_at_us);
-        rig.net->sim().at(t_up, [ft, link, t_up] {
-          ft->set_link_state(link, true, t_up);
+        rig.net->sim().at(t_up, [fab, link, t_up] {
+          fab->set_link_state(link, true, t_up);
         });
       }
     }
 
-    const std::int64_t n_hosts =
-        static_cast<std::int64_t>(rig.fat->hosts.size());
+    // Random distinct pairs: mostly cross-rack, so flows traverse the
+    // fabric marking queues; same-rack pairs still exercise the edge hop.
+    const std::vector<sim::Host*>& hosts = rig.fabric->hosts;
+    const std::int64_t n_hosts = static_cast<std::int64_t>(hosts.size());
     for (int i = 0; i < sc.flows; ++i) {
       const std::int64_t src = rng.uniform_int(0, n_hosts - 1);
       std::int64_t dst = rng.uniform_int(0, n_hosts - 2);
       if (dst >= src) ++dst;
       tcp::TcpConfig fl = tcp_cfg;
       if (sc.priority_classes >= 2) {
-        fl.priority = static_cast<std::uint8_t>(
-            i % static_cast<int>(sc.priority_classes));
+        fl.priority = static_cast<std::uint8_t>(i % sc.priority_classes);
       }
       auto conn = std::make_unique<tcp::Connection>(
-          *rig.net, *rig.fat->hosts[static_cast<std::size_t>(src)],
-          *rig.fat->hosts[static_cast<std::size_t>(dst)], fl,
-          sc.segments_per_flow);
+          *rig.net, *hosts[static_cast<std::size_t>(src)],
+          *hosts[static_cast<std::size_t>(dst)], fl, sc.segments_per_flow);
       conn->start_at(rng.uniform(0.0, spread + 1e-9));
       rig.conns.push_back(std::move(conn));
     }
@@ -269,7 +261,7 @@ std::string FuzzScenario::describe() const {
       static_cast<long long>(segments_per_flow), bottleneck_gbps, rtt_us,
       buffer_packets, tcp_mode, sack ? " sack" : "", pacing ? " pacing" : "",
       delayed_ack ? " delack" : "");
-  if (pool_capacity_packets > 0) {
+  if (pool_capacity_packets > 0 && !is_fabric(topology)) {
     line += fmt_line(" pool=%zu a=%.1f hr=%zu%s", pool_capacity_packets,
                      pool_alpha, pool_headroom_packets,
                      pool_ecn ? " poolecn" : "");
@@ -363,7 +355,7 @@ FuzzScenario generate_scenario(std::uint64_t seed) {
                               : rng.uniform(0.0, 1000.0);
 
   // Shared-buffer pool draws come last so earlier dimensions of a given
-  // seed are unchanged from pre-pool builds. Leaf-spine rigs ignore the
+  // seed are unchanged from pre-pool builds. Fabric rigs ignore the
   // pool fields (build_rig keeps their per-port limits).
   if (rng.bernoulli(0.4)) {
     sc.pool_capacity_packets =

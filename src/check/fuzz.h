@@ -1,9 +1,9 @@
 // Property-based fuzz harness for the packet simulator.
 //
 // A FuzzScenario is a fully explicit description of one randomized
-// short simulation: topology (dumbbell / leaf-spine / incast), flow
-// count, link rates, RTT, buffer size, marking rule, TCP mode and
-// options — every field derived
+// short simulation: topology (dumbbell / leaf-spine / incast /
+// fat-tree), flow count, link rates, RTT, buffer size, marking rule,
+// TCP mode and options — every field derived
 // deterministically from a single seed by generate_scenario(). Running
 // a scenario installs the invariant Checker (check/checker.h) with all
 // checks enabled, drives the finite flows to completion, and audits
@@ -55,7 +55,7 @@ struct FuzzScenario {
   double start_spread_us = 500.0;     ///< sender start-time stagger
   double sim_cap_s = 30.0;            ///< virtual-time safety cap
 
-  // Shared-buffer pool (dumbbell / incast only; leaf-spine keeps
+  // Shared-buffer pool (dumbbell / incast only; fabric rigs keep
   // per-port limits). 0 capacity = no pool.
   std::size_t pool_capacity_packets = 0;  ///< pool size (MTU packets)
   double pool_alpha = 0.0;                ///< DT alpha; 0 = static carve
@@ -118,11 +118,13 @@ FuzzResult run_scenario(const FuzzScenario& sc, const CheckConfig& cfg);
 FuzzScenario shrink_scenario(FuzzScenario failing, const CheckConfig& cfg,
                              int max_attempts = 48);
 
-/// Large-scenario mode (`sim_fuzz --large`): runs the stress-preset
-/// leaf-spine fabric (sim::LeafSpineConfig::stress, 256 hosts) through
-/// the parsim sharded executor with a seed-derived shard count (1, 2,
-/// or 4), per-shard invariant checkers forced on, and the run repeated
-/// once to compare result digests. A digest mismatch (nondeterminism)
+/// Large-scenario mode (`sim_fuzz --large`): runs a sharded fabric
+/// through the parsim executor — about half the seeds the stress-preset
+/// leaf-spine (sim::LeafSpineConfig::stress, 256 hosts), the rest an
+/// oversubscribed k=4 fat-tree with optional priority classes and link
+/// failures — with a seed-derived shard count (1, 2, or 4), per-shard
+/// invariant checkers forced on, and the run repeated once to compare
+/// result digests. A digest mismatch (nondeterminism)
 /// or an open cross-shard mailbox ledger counts as a violation on top
 /// of anything the checkers flagged.
 FuzzResult run_large_scenario(std::uint64_t seed);

@@ -27,7 +27,7 @@
 #include "queue/ecn_threshold.h"
 #include "queue/factory.h"
 #include "queue/red.h"
-#include "sim/leaf_spine.h"
+#include "sim/fabric.h"
 #include "sim/network.h"
 #include "stats/fairness.h"
 #include "stats/oscillation.h"

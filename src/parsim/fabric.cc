@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,16 +59,10 @@ FabricResult run_fabric(const FabricConfig& cfg) {
                                       cfg.sched_policy, cfg.wrr_weights);
   }
 
-  const bool fat = cfg.topology == FabricTopology::kFatTree;
-  sim::LeafSpine ls;
-  sim::FatTree ft;
-  if (fat) {
-    ft = sim::build_fat_tree(cfg.fat_tree, switch_queue);
-  } else {
-    ls = sim::build_leaf_spine(cfg.fabric, switch_queue);
-  }
-  sim::Network& net = fat ? *ft.net : *ls.net;
-  const std::vector<sim::Host*>& hosts = fat ? ft.hosts : ls.hosts;
+  sim::Clos fabric = cfg.topology == FabricTopology::kFatTree
+                         ? sim::build_fat_tree(cfg.fat_tree, switch_queue)
+                         : sim::build_leaf_spine(cfg.fabric, switch_queue);
+  sim::Network& net = *fabric.net;
 
   // Sharding scaffolding first, so connections can bind each endpoint
   // to its host's shard simulator.
@@ -75,74 +70,65 @@ FabricResult run_fabric(const FabricConfig& cfg) {
   std::unique_ptr<ShardRunner> runner;
   if (cfg.shards >= 1) {
     sharded = std::make_unique<ShardedNetwork>(
-        net, fat ? fat_tree_partition(ft, cfg.shards)
-                 : leaf_spine_partition(ls, cfg.fabric, cfg.shards));
+        net, clos_partition(fabric, cfg.shards));
     ShardRunnerOptions opts;
     opts.check = cfg.check;
     opts.check_cfg = cfg.check_cfg;
     runner = std::make_unique<ShardRunner>(*sharded, opts);
   }
 
-  // Hybrid fluid background (leaf-spine only): one aggregate per leaf
-  // on its first spine uplink (port 0 — connect_switches wires spine
-  // uplinks before host ports). Attached after the sharding scaffolding
-  // so each aggregate's coupling timer lands on the simulator that owns
-  // its port: all hybrid state is shard-local and digest-stable.
-  // Declared after ls/ft so the aggregates are destroyed first and
-  // detach their gauges from live ports.
+  // Hybrid fluid background: one aggregate per edge switch on its first
+  // uplink (port 0 — the builder wires uplinks before host ports).
+  // Attached after the sharding scaffolding so each aggregate's coupling
+  // timer lands on the simulator that owns its port: all hybrid state is
+  // shard-local and digest-stable. Declared after the fabric so the
+  // aggregates are destroyed first and detach their gauges from live
+  // ports.
   std::vector<std::unique_ptr<hybrid::FluidBackground>> aggregates;
-  if (cfg.hybrid_background && !fat) {
+  if (cfg.hybrid_background) {
     hybrid::FluidBackgroundConfig hcfg;
     hcfg.flows = cfg.hybrid_flows;
     hcfg.rtt = cfg.hybrid_rtt;
     hcfg.marking = marking;
     hcfg.horizon = cfg.hybrid_horizon;
-    aggregates.reserve(ls.leaves.size());
-    for (sim::Switch* leaf : ls.leaves) {
-      auto agg = std::make_unique<hybrid::FluidBackground>(
-          hcfg, cfg.fabric.fabric_link_bps);
-      agg->attach(leaf->port(0));
+    aggregates.reserve(fabric.edges.size());
+    for (sim::Switch* edge : fabric.edges) {
+      sim::Port& uplink = edge->port(0);
+      auto agg =
+          std::make_unique<hybrid::FluidBackground>(hcfg, uplink.rate_bps());
+      agg->attach(uplink);
       aggregates.push_back(std::move(agg));
     }
   }
 
-  // Scheduled link failures (fat-tree only). Serial runs mutate the
-  // fabric's own down set; sharded runs give each shard its own copy
-  // and apply the same event on every shard's simulator at the same
-  // simulated time — each shard rewrites only the switches it owns and
-  // drains only the down-link ports it owns.
-  std::vector<std::vector<char>> down_sets;
-  if (fat && !cfg.link_events.empty() && !ft.links.empty()) {
-    sim::FatTree* tree = &ft;
-    if (sharded != nullptr) {
-      down_sets.assign(sharded->shards(),
-                       std::vector<char>(ft.links.size(), 0));
-      ShardedNetwork* sn = sharded.get();
-      for (const sim::LinkEvent& ev : cfg.link_events) {
-        for (std::size_t s = 0; s < sharded->shards(); ++s) {
-          std::vector<char>* down = &down_sets[s];
-          sharded->shard_sim(s).at(ev.time, [tree, sn, down, s, ev] {
-            tree->apply_link_event(
-                *down, ev.link, ev.up, ev.time,
-                [sn, s](const sim::Switch& sw) {
-                  return sn->shard_of(sw.id()) == s;
-                });
-          });
-        }
+  // Scheduled link failures. Each shard (the whole fabric in a serial
+  // run) keeps its own down-set copy and applies the same event on its
+  // simulator at the same simulated time — rewriting only the switches
+  // it owns and draining only the down-link ports it owns.
+  const std::size_t copies = sharded != nullptr ? sharded->shards() : 1;
+  std::vector<std::vector<char>> down_sets(
+      copies, std::vector<char>(fabric.links.size(), 0));
+  for (const sim::LinkEvent& ev : cfg.link_events) {
+    for (std::size_t s = 0; s < copies; ++s) {
+      std::function<bool(const sim::Switch&)> mine;
+      if (sharded != nullptr) {
+        mine = [sn = sharded.get(), s](const sim::Switch& sw) {
+          return sn->shard_of(sw.id()) == s;
+        };
       }
-    } else {
-      for (const sim::LinkEvent& ev : cfg.link_events) {
-        net.sim().at(ev.time,
-                     [tree, ev] { tree->set_link_state(ev.link, ev.up, ev.time); });
-      }
+      sim::Simulator& sim =
+          sharded != nullptr ? sharded->shard_sim(s) : net.sim();
+      sim.at(ev.time, [&fabric, down = &down_sets[s], ev, mine] {
+        fabric.apply_link_event(*down, ev.link, ev.up, ev.time, mine);
+      });
     }
   }
 
-  // Permutation traffic, host order = flow id order: cross-rack for
-  // leaf-spine, cross-pod for fat-trees (every flow exercises the core).
+  // Permutation traffic, host order = flow id order: every flow crosses
+  // pods and therefore the core tier.
+  const std::vector<sim::Host*>& hosts = fabric.hosts;
   const std::size_t n = hosts.size();
-  const std::size_t group =
-      fat ? ft.cfg.hosts_per_pod() : cfg.fabric.hosts_per_leaf;
+  const std::size_t group = fabric.cfg.hosts_per_pod();
   Rng rng(cfg.seed);
   std::vector<std::unique_ptr<tcp::Connection>> conns;
   conns.reserve(n);
@@ -203,28 +189,20 @@ FabricResult run_fabric(const FabricConfig& cfg) {
     digest.mix(static_cast<std::uint64_t>(conn->receiver().bytes_received()));
   }
   out.p99_fct = fct_tracker.p99();
-  auto fold_switch = [&](sim::Switch* sw, bool mix_link_down) {
-    const sim::Counters c = sw->counters();
-    digest.mix(c);
-    out.marks += c.marked;
-    out.drops += c.dropped + c.unrouted_dropped;
-    std::uint64_t down_drops = 0;
-    for (std::size_t p = 0; p < sw->port_count(); ++p) {
-      out.fabric_packets += sw->port(p).packets_sent();
-      down_drops += sw->port(p).link_down_drops();
+  for (const auto* tier : {&fabric.edges, &fabric.aggs, &fabric.cores}) {
+    for (sim::Switch* sw : *tier) {
+      const sim::Counters c = sw->counters();
+      digest.mix(c);
+      out.marks += c.marked;
+      out.drops += c.dropped + c.unrouted_dropped;
+      std::uint64_t down_drops = 0;
+      for (std::size_t p = 0; p < sw->port_count(); ++p) {
+        out.fabric_packets += sw->port(p).packets_sent();
+        down_drops += sw->port(p).link_down_drops();
+      }
+      out.link_down_drops += down_drops;
+      digest.mix(down_drops);
     }
-    out.link_down_drops += down_drops;
-    // Folded only on the fat-tree path so leaf-spine digests stay
-    // bit-compatible with the pre-fabric harness.
-    if (mix_link_down) digest.mix(down_drops);
-  };
-  if (fat) {
-    for (sim::Switch* sw : ft.edges) fold_switch(sw, true);
-    for (sim::Switch* sw : ft.aggs) fold_switch(sw, true);
-    for (sim::Switch* sw : ft.cores) fold_switch(sw, true);
-  } else {
-    for (sim::Switch* sw : ls.leaves) fold_switch(sw, false);
-    for (sim::Switch* sw : ls.spines) fold_switch(sw, false);
   }
   // Fluid aggregate state joins the fingerprint only when the hybrid
   // background is actually active, so inert-aggregate digests stay

@@ -1,26 +1,27 @@
-// Shard-safe fabric traffic harness: one fabric (leaf-spine or k-ary
-// fat-tree), one scenario, serial or sharded execution — the workload
-// behind the parsim/fabric benches, determinism tests, and
+// Shard-safe fabric traffic harness: one Clos fabric (leaf-spine or
+// k-ary fat-tree), one scenario, serial or sharded execution — the
+// workload behind the parsim/fabric benches, determinism tests, and
 // sim_fuzz --large.
 //
-// Scenario: a cross-rack/cross-pod permutation. Host i opens one finite
-// DCTCP flow to host (i + group) mod N — group is hosts_per_leaf for
-// leaf-spine and hosts_per_pod for a fat-tree — so every flow traverses
-// the full fabric and every host is both a sender and a receiver. Start
-// times are staggered from the seed. All flow state is shard-local
-// (each TCP endpoint schedules on its own host's shard), so the same
-// scenario runs on any shard count. Determinism guarantees: for a fixed
-// shard count the digest is identical run-to-run, and shard count 1 is
-// byte-identical to the serial (shards == 0) run — both pinned by
-// tests. Different shard counts may order same-timestamp events
-// differently and are not required to match bit-for-bit.
+// Scenario: a cross-pod permutation. Host i opens one finite DCTCP flow
+// to host (i + hosts_per_pod) mod N — a leaf-spine pod is one leaf, so
+// every flow crosses the core tier and every host is both a sender and
+// a receiver. Start times are staggered from the seed. All flow state
+// is shard-local (each TCP endpoint schedules on its own host's shard),
+// so the same scenario runs on any shard count. Determinism guarantees:
+// for a fixed shard count the digest is identical run-to-run, and shard
+// count 1 is byte-identical to the serial (shards == 0) run — both
+// pinned by tests. Different shard counts may order same-timestamp
+// events differently and are not required to match bit-for-bit.
 //
-// Fat-tree extras (ignored for leaf-spine):
+// Every feature works on both shapes:
 //  * link_events schedule mid-run link failures/recoveries; in sharded
 //    runs the same event is applied on every shard against a per-shard
 //    down-set copy, each shard rewriting only the switches it owns.
 //  * priority_classes >= 2 installs a MultiQueueDisc per switch egress
 //    (strict or WRR) and tags flow i with class i % classes.
+//  * hybrid_background puts one fluid aggregate on each edge switch's
+//    first uplink.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,6 @@
 #include "parsim/shard_runner.h"
 #include "queue/multi_queue.h"
 #include "sim/fabric.h"
-#include "sim/leaf_spine.h"
 #include "tcp/config.h"
 
 namespace dtdctcp::parsim {
@@ -40,8 +40,8 @@ struct FabricConfig {
   FabricTopology topology = FabricTopology::kLeafSpine;
   sim::LeafSpineConfig fabric{};    ///< used when topology == kLeafSpine
   sim::FatTreeConfig fat_tree{};    ///< used when topology == kFatTree
-  /// Scheduled link failures/recoveries (fat-tree only). Link indices
-  /// are taken modulo the built fabric's switch-switch link count.
+  /// Scheduled link failures/recoveries. Link indices (sim::Clos::links
+  /// numbering) are taken modulo the built fabric's link count.
   std::vector<sim::LinkEvent> link_events;
   /// 0 or 1 = one queue per port (legacy). >= 2 wraps every switch
   /// egress in a MultiQueueDisc with that many classes (each class its
@@ -61,11 +61,11 @@ struct FabricConfig {
   ShardRunnerOptions::Check check = ShardRunnerOptions::Check::kEnv;
   check::CheckConfig check_cfg;
 
-  // Hybrid fluid background (leaf-spine only). When enabled, each
-  // leaf's first spine uplink carries one hybrid::FluidBackground
-  // aggregate of `hybrid_flows` long-lived flows, attached after
-  // shard rebinding so all aggregate state is shard-local and the run
-  // stays digest-deterministic. `hybrid_flows == 0` attaches inert
+  // Hybrid fluid background. When enabled, each edge switch's first
+  // uplink carries one hybrid::FluidBackground aggregate of
+  // `hybrid_flows` long-lived flows, attached after shard rebinding so
+  // all aggregate state is shard-local and the run stays
+  // digest-deterministic. `hybrid_flows == 0` attaches inert
   // aggregates (gauges exactly 0.0 / 1.0): byte-identical to
   // hybrid_background == false, pinned by test.
   bool hybrid_background = false;

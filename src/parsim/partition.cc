@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/fabric.h"
-#include "sim/leaf_spine.h"
 
 namespace dtdctcp::parsim {
 
@@ -14,53 +13,27 @@ Partition Partition::single(std::size_t node_count) {
   return p;
 }
 
-Partition leaf_spine_partition(const sim::LeafSpine& fabric,
-                               const sim::LeafSpineConfig& cfg,
-                               std::size_t shards) {
+Partition clos_partition(const sim::Clos& fabric, std::size_t shards) {
   const std::size_t node_count = fabric.net->nodes().size();
   if (shards <= 1) return Partition::single(node_count);
-  shards = std::min(shards, cfg.leaves);
+  const sim::ClosShape& shape = fabric.cfg;
+  shards = std::min(shards, shape.pods);
 
   Partition p;
   p.shards = shards;
   p.shard_of.assign(node_count, 0);
-  for (std::size_t s = 0; s < fabric.spines.size(); ++s) {
-    p.shard_of[fabric.spines[s]->id()] =
-        static_cast<std::uint32_t>(s % shards);
-  }
-  for (std::size_t l = 0; l < fabric.leaves.size(); ++l) {
-    const auto shard = static_cast<std::uint32_t>(l % shards);
-    p.shard_of[fabric.leaves[l]->id()] = shard;
-    for (std::size_t h = 0; h < cfg.hosts_per_leaf; ++h) {
-      p.shard_of[fabric.hosts[l * cfg.hosts_per_leaf + h]->id()] = shard;
+  // Each tier lists its nodes pod by pod, `per_pod` at a time; cores
+  // round-robin one by one.
+  const auto by_pod = [&](const auto& nodes, std::size_t per_pod) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      p.shard_of[nodes[i]->id()] =
+          static_cast<std::uint32_t>(i / per_pod % shards);
     }
-  }
-  return p;
-}
-
-Partition fat_tree_partition(const sim::FatTree& fabric, std::size_t shards) {
-  const std::size_t node_count = fabric.net->nodes().size();
-  if (shards <= 1) return Partition::single(node_count);
-  const sim::FatTreeConfig& cfg = fabric.cfg;
-  shards = std::min(shards, cfg.pods());
-
-  Partition p;
-  p.shards = shards;
-  p.shard_of.assign(node_count, 0);
-  for (std::size_t c = 0; c < fabric.cores.size(); ++c) {
-    p.shard_of[fabric.cores[c]->id()] = static_cast<std::uint32_t>(c % shards);
-  }
-  const std::size_t r = cfg.radix();
-  for (std::size_t pod = 0; pod < cfg.pods(); ++pod) {
-    const auto shard = static_cast<std::uint32_t>(pod % shards);
-    for (std::size_t i = 0; i < r; ++i) {
-      p.shard_of[fabric.aggs[pod * r + i]->id()] = shard;
-      p.shard_of[fabric.edges[pod * r + i]->id()] = shard;
-    }
-    for (std::size_t h = 0; h < cfg.hosts_per_pod(); ++h) {
-      p.shard_of[fabric.hosts[pod * cfg.hosts_per_pod() + h]->id()] = shard;
-    }
-  }
+  };
+  by_pod(fabric.cores, 1);
+  by_pod(fabric.aggs, shape.aggs_per_pod);
+  by_pod(fabric.edges, shape.edges_per_pod);
+  by_pod(fabric.hosts, shape.hosts_per_pod());
   return p;
 }
 

@@ -4,10 +4,11 @@
 // (logical process). Shards must cut only links with a strictly
 // positive propagation delay — that delay is the lookahead that makes
 // conservative synchronization safe (see shard_runner.h) — so the
-// partitioning rule keeps zero-latency neighbourhoods together: a leaf
-// switch and all of its hosts form one logical process, because host
-// links are the short ones and the leaf<->spine fabric links carry the
-// distance (and therefore the lookahead).
+// partitioning rule keeps zero-latency neighbourhoods together: a Clos
+// pod (a leaf and its hosts, or a fat-tree pod's edges, aggs and hosts)
+// forms one logical process, because host and intra-pod links are the
+// short ones and the core uplinks carry the distance (and therefore the
+// lookahead).
 #pragma once
 
 #include <cstddef>
@@ -17,9 +18,7 @@
 #include "sim/packet.h"
 
 namespace dtdctcp::sim {
-struct LeafSpine;
-struct LeafSpineConfig;
-struct FatTree;
+struct Clos;
 }  // namespace dtdctcp::sim
 
 namespace dtdctcp::parsim {
@@ -36,21 +35,19 @@ struct Partition {
   static Partition single(std::size_t node_count);
 };
 
-/// Leaf-spine partitioning rule: leaf `l` plus its hosts form one
-/// logical process on shard `l % shards`; spine `s` lands on shard
-/// `s % shards`. Every cut link is then a leaf<->spine fabric link, so
-/// the lookahead is the fabric propagation delay. `shards` is clamped
-/// to the leaf count (an empty shard would only add barrier overhead).
-Partition leaf_spine_partition(const sim::LeafSpine& fabric,
-                               const sim::LeafSpineConfig& cfg,
-                               std::size_t shards);
+/// Clos partitioning rule: pods are kept whole — pod `p` (its edge and
+/// agg switches plus every attached host) lands on shard `p % shards`,
+/// core switch `c` on shard `c % shards`. Every cut link is then a core
+/// uplink (agg<->core, or leaf<->spine without an agg tier), whose
+/// propagation delay is the natural lookahead; host and edge<->agg
+/// links are never cut. `shards` is clamped to the pod count (an empty
+/// shard would only add barrier overhead).
+Partition clos_partition(const sim::Clos& fabric, std::size_t shards);
 
-/// Fat-tree partitioning rule: pods are kept whole — pod `p` (its edge
-/// and agg switches plus every attached host) lands on shard
-/// `p % shards`, core switch `c` on shard `c % shards`. Every cut link
-/// is then an agg<->core link, whose propagation delay is the largest
-/// in the fabric (the natural lookahead); intra-pod edge<->agg and host
-/// links are never cut. `shards` is clamped to the pod count.
-Partition fat_tree_partition(const sim::FatTree& fabric, std::size_t shards);
+/// The historical name of clos_partition, kept for existing callers.
+inline Partition fat_tree_partition(const sim::Clos& fabric,
+                                    std::size_t shards) {
+  return clos_partition(fabric, shards);
+}
 
 }  // namespace dtdctcp::parsim

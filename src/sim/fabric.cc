@@ -1,5 +1,6 @@
 #include "sim/fabric.h"
 
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,9 +11,10 @@ namespace dtdctcp::sim {
 
 namespace {
 
-void check_dim(std::size_t v, std::size_t max, const char* what) {
+void check_dim(const char* builder, std::size_t v, std::size_t max,
+               const char* what) {
   if (v == 0 || v > max) {
-    throw std::invalid_argument(std::string("fat_tree: ") + what + "=" +
+    throw std::invalid_argument(std::string(builder) + ": " + what + "=" +
                                 std::to_string(v) + " outside [1, " +
                                 std::to_string(max) + "]");
   }
@@ -25,13 +27,111 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+struct LinkSpec {
+  DataRate bps;
+  SimTime delay;
+};
+
+/// Everything the one wiring loop needs; the builders derive it from
+/// their own configs.
+struct Wiring {
+  ClosShape shape;
+  LinkSpec host;
+  LinkSpec edge_up;  ///< edge -> agg, or edge -> core with no agg tier
+  LinkSpec agg_up;   ///< agg -> core
+  EcmpMode ecmp;
+  std::uint64_t ecmp_seed;
+};
+
+Clos wire_clos(const Wiring& w, const QueueFactory& switch_queue) {
+  const ClosShape& s = w.shape;
+  const bool two_tier = s.aggs_per_pod == 0;
+  const std::size_t stripe = two_tier ? 0 : s.cores / s.aggs_per_pod;
+  const FabricLink::Tier edge_tier =
+      two_tier ? FabricLink::Tier::kEdgeCore : FabricLink::Tier::kEdgeAgg;
+
+  Clos out;
+  out.cfg = s;
+  out.net = std::make_unique<Network>();
+  Network& net = *out.net;
+
+  out.cores.reserve(s.cores);
+  out.aggs.reserve(s.pods * s.aggs_per_pod);
+  out.edges.reserve(s.pods * s.edges_per_pod);
+  out.hosts.reserve(s.pods * s.hosts_per_pod());
+
+  const auto host_nic = queue::drop_tail(0, 0);
+  const auto link = [&](Switch& a, Switch& b, const LinkSpec& spec,
+                        FabricLink::Tier tier) {
+    const auto [ap, bp] = net.connect_switches(a, b, spec.bps, spec.delay,
+                                               switch_queue, switch_queue);
+    out.links.push_back({&a, ap, &b, bp, tier});
+  };
+
+  for (std::size_t c = 0; c < s.cores; ++c) {
+    out.cores.push_back(&net.add_switch("core" + std::to_string(c)));
+  }
+  for (std::size_t p = 0; p < s.pods; ++p) {
+    const std::string pod = "p" + std::to_string(p) + "_";
+    for (std::size_t j = 0; j < s.aggs_per_pod; ++j) {
+      out.aggs.push_back(&net.add_switch(pod + "agg" + std::to_string(j)));
+    }
+    const std::span<Switch* const> uplinks =
+        two_tier ? std::span<Switch* const>(out.cores)
+                 : std::span<Switch* const>(out.aggs).last(s.aggs_per_pod);
+    for (std::size_t e = 0; e < s.edges_per_pod; ++e) {
+      Switch& edge = net.add_switch(pod + "edge" + std::to_string(e));
+      out.edges.push_back(&edge);
+      // Uplinks first, so an edge's uplinks are its lowest ports and
+      // each upper switch's edge-facing ports precede its own uplinks.
+      for (Switch* up : uplinks) link(edge, *up, w.edge_up, edge_tier);
+      for (std::size_t h = 0; h < s.hosts_per_edge; ++h) {
+        Host& host = net.add_host(pod + "e" + std::to_string(e) + "_h" +
+                                  std::to_string(h));
+        net.attach_host(host, edge, w.host.bps, w.host.delay, host_nic,
+                        switch_queue);
+        out.hosts.push_back(&host);
+      }
+    }
+    // Agg j -> cores [j*stripe, (j+1)*stripe): the canonical striping.
+    for (std::size_t j = 0; j < s.aggs_per_pod; ++j) {
+      for (std::size_t c = 0; c < stripe; ++c) {
+        link(*uplinks[j], *out.cores[j * stripe + c], w.agg_up,
+             FabricLink::Tier::kAggCore);
+      }
+    }
+  }
+
+  // kLegacy keeps salt 0 (the Switch default). kBalanced salts each
+  // switch independently; kPolarized gives every switch one non-zero
+  // salt, so each tier repeats the previous tier's hash decision and
+  // traffic collapses onto single uplinks.
+  if (w.ecmp != EcmpMode::kLegacy) {
+    for (const auto* tier : {&out.cores, &out.aggs, &out.edges}) {
+      for (Switch* sw : *tier) {
+        std::uint64_t salt =
+            w.ecmp == EcmpMode::kPolarized
+                ? splitmix64(w.ecmp_seed) | 1
+                : splitmix64(w.ecmp_seed ^
+                             (static_cast<std::uint64_t>(sw->id()) + 1));
+        if (salt == 0) salt = 1;  // 0 would mean "unsalted" on this switch
+        sw->set_ecmp_salt(salt);
+      }
+    }
+  }
+
+  out.link_down.assign(out.links.size(), 0);
+  net.build_routes();
+  return out;
+}
+
 }  // namespace
 
-std::size_t FatTree::set_link_state(std::size_t link, bool up, SimTime now) {
+std::size_t Clos::set_link_state(std::size_t link, bool up, SimTime now) {
   return apply_link_event(link_down, link, up, now, nullptr);
 }
 
-std::size_t FatTree::apply_link_event(
+std::size_t Clos::apply_link_event(
     std::vector<char>& down, std::size_t link, bool up, SimTime now,
     const std::function<bool(const Switch&)>& mine) {
   const std::size_t idx = link % links.size();
@@ -49,8 +149,8 @@ std::size_t FatTree::apply_link_event(
   return dropped;
 }
 
-void FatTree::rebuild_routes(const std::vector<char>& down,
-                             const std::function<bool(const Switch&)>& mine) {
+void Clos::rebuild_routes(const std::vector<char>& down,
+                          const std::function<bool(const Switch&)>& mine) {
   // Collect the down (switch, port) endpoints once; the filter is a
   // linear scan over them (the down set is tiny in practice).
   std::vector<std::pair<const Switch*, std::size_t>> blocked;
@@ -71,103 +171,39 @@ void FatTree::rebuild_routes(const std::vector<char>& down,
   net->rebuild_routes(usable, mine);
 }
 
-FatTree build_fat_tree(const FatTreeConfig& cfg,
-                       const QueueFactory& switch_queue) {
+Clos build_leaf_spine(const LeafSpineConfig& cfg,
+                      const QueueFactory& switch_queue) {
+  check_dim("leaf_spine", cfg.spines, LeafSpineConfig::kMaxSpines, "spines");
+  check_dim("leaf_spine", cfg.leaves, LeafSpineConfig::kMaxLeaves, "leaves");
+  check_dim("leaf_spine", cfg.hosts_per_leaf,
+            LeafSpineConfig::kMaxHostsPerLeaf, "hosts_per_leaf");
+  // Each leaf is a one-edge pod with no agg tier; the spines are cores.
+  return wire_clos({{cfg.leaves, 1, 0, cfg.spines, cfg.hosts_per_leaf},
+                    {cfg.host_link_bps, cfg.host_link_delay},
+                    {cfg.fabric_link_bps, cfg.fabric_link_delay},
+                    {},
+                    EcmpMode::kLegacy,
+                    0},
+                   switch_queue);
+}
+
+Clos build_fat_tree(const FatTreeConfig& cfg,
+                    const QueueFactory& switch_queue) {
   if (cfg.k == 0 || cfg.k % 2 != 0 || cfg.k > FatTreeConfig::kMaxK) {
     throw std::invalid_argument("fat_tree: k=" + std::to_string(cfg.k) +
                                 " must be even and in [2, " +
                                 std::to_string(FatTreeConfig::kMaxK) + "]");
   }
-  check_dim(cfg.edge_hosts(), FatTreeConfig::kMaxHostsPerEdge,
+  check_dim("fat_tree", cfg.edge_hosts(), FatTreeConfig::kMaxHostsPerEdge,
             "hosts_per_edge");
-
   const std::size_t r = cfg.radix();
-
-  FatTree out;
-  out.cfg = cfg;
-  out.net = std::make_unique<Network>();
-  Network& net = *out.net;
-
-  out.cores.reserve(cfg.cores());
-  out.aggs.reserve(cfg.k * r);
-  out.edges.reserve(cfg.k * r);
-  out.hosts.reserve(cfg.total_hosts());
-  out.links.reserve(cfg.total_fabric_links());
-
-  const auto host_nic = queue::drop_tail(0, 0);
-
-  for (std::size_t c = 0; c < cfg.cores(); ++c) {
-    out.cores.push_back(&net.add_switch("core" + std::to_string(c)));
-  }
-  for (std::size_t p = 0; p < cfg.k; ++p) {
-    const std::string pod = "p" + std::to_string(p) + "_";
-    for (std::size_t j = 0; j < r; ++j) {
-      out.aggs.push_back(&net.add_switch(pod + "agg" + std::to_string(j)));
-    }
-    for (std::size_t e = 0; e < r; ++e) {
-      Switch& edge = net.add_switch(pod + "edge" + std::to_string(e));
-      out.edges.push_back(&edge);
-      // Edge -> all pod aggs first, so each agg's edge-facing ports
-      // precede its core uplinks in port-index order.
-      for (std::size_t j = 0; j < r; ++j) {
-        Switch& agg = *out.aggs[p * r + j];
-        const auto [ep, ap] = net.connect_switches(
-            edge, agg, cfg.edge_agg_bps, cfg.edge_agg_delay, switch_queue,
-            switch_queue);
-        out.links.push_back(
-            {&edge, ep, &agg, ap, FabricLink::Tier::kEdgeAgg});
-      }
-      for (std::size_t h = 0; h < cfg.edge_hosts(); ++h) {
-        Host& host = net.add_host(pod + "e" + std::to_string(e) + "_h" +
-                                  std::to_string(h));
-        net.attach_host(host, edge, cfg.host_link_bps, cfg.host_link_delay,
-                        host_nic, switch_queue);
-        out.hosts.push_back(&host);
-      }
-    }
-    // Agg j -> cores [j*r, (j+1)*r): the canonical core striping.
-    for (std::size_t j = 0; j < r; ++j) {
-      Switch& agg = *out.aggs[p * r + j];
-      for (std::size_t c = 0; c < r; ++c) {
-        Switch& core = *out.cores[j * r + c];
-        const auto [ap, cp] = net.connect_switches(
-            agg, core, cfg.agg_core_bps, cfg.agg_core_delay, switch_queue,
-            switch_queue);
-        out.links.push_back(
-            {&agg, ap, &core, cp, FabricLink::Tier::kAggCore});
-      }
-    }
-  }
-
-  switch (cfg.ecmp) {
-    case EcmpMode::kLegacy:
-      break;  // salt 0 everywhere (Switch default)
-    case EcmpMode::kBalanced:
-      for (const auto& node : net.nodes()) {
-        if (auto* sw = dynamic_cast<Switch*>(node.get())) {
-          std::uint64_t s = splitmix64(
-              cfg.ecmp_seed ^ (static_cast<std::uint64_t>(sw->id()) + 1));
-          if (s == 0) s = 1;  // 0 would mean "unsalted" on this switch
-          sw->set_ecmp_salt(s);
-        }
-      }
-      break;
-    case EcmpMode::kPolarized: {
-      // One identical non-zero salt: every tier repeats the previous
-      // tier's hash decision and traffic collapses onto single uplinks.
-      const std::uint64_t s = splitmix64(cfg.ecmp_seed) | 1;
-      for (const auto& node : net.nodes()) {
-        if (auto* sw = dynamic_cast<Switch*>(node.get())) {
-          sw->set_ecmp_salt(s);
-        }
-      }
-      break;
-    }
-  }
-
-  out.link_down.assign(out.links.size(), 0);
-  net.build_routes();
-  return out;
+  return wire_clos({{cfg.k, r, r, r * r, cfg.edge_hosts()},
+                    {cfg.host_link_bps, cfg.host_link_delay},
+                    {cfg.edge_agg_bps, cfg.edge_agg_delay},
+                    {cfg.agg_core_bps, cfg.agg_core_delay},
+                    cfg.ecmp,
+                    cfg.ecmp_seed},
+                   switch_queue);
 }
 
 }  // namespace dtdctcp::sim

@@ -1,13 +1,17 @@
-// k-ary fat-tree (3-tier Clos) topology builder with seeded per-flow
-// ECMP, heterogeneous per-tier link speeds/delays, and scheduled link
+// Clos fabric builder: the 2-tier leaf-spine and the 3-tier k-ary
+// fat-tree are one built type, sim::Clos, wired by one loop, with
+// seeded per-flow ECMP, per-tier link speeds/delays, and scheduled link
 // up/down events that reroute affected flows mid-run.
 //
-// Canonical fat-tree shape (Al-Fares et al.): k pods, each with k/2
-// edge and k/2 agg switches; (k/2)^2 core switches; edge e in a pod
-// connects to all k/2 pod aggs, agg j connects to cores
-// [j*k/2, (j+1)*k/2). With k/2 hosts per edge the fabric is
-// rearrangeably non-blocking; more hosts per edge oversubscribe the
-// edge tier (a multi-tier Clos in the datacenter sense).
+// Shape: `pods` pods, each with `edges_per_pod` edge switches and
+// `aggs_per_pod` agg switches, above `cores` core switches. Every edge
+// uplinks to each agg of its pod, and agg j stripes onto cores
+// [j*c, (j+1)*c) with c = cores / aggs_per_pod. A fabric with no agg
+// tier uplinks every edge to every core instead: a leaf-spine is that
+// two-tier case, one edge (leaf) per pod and the spines as cores. The
+// canonical fat-tree (Al-Fares et al.) has k pods of k/2 edges and k/2
+// aggs over (k/2)^2 cores; with k/2 hosts per edge it is rearrangeably
+// non-blocking, and more hosts per edge oversubscribe the edge tier.
 //
 // ECMP seeding: every switch hashes (flow ^ salt) through
 // Switch::ecmp_pick. kBalanced derives an independent salt per switch
@@ -15,8 +19,7 @@
 // everywhere, so each tier repeats the previous tier's decision and the
 // classic hash-polarization collapse (each agg funnels all its flows
 // onto ONE core uplink) is reproducible on demand; kLegacy keeps salt 0
-// (the historical unsalted hash — also polarized, but bit-compatible
-// with pre-salt runs).
+// (the unsalted hash every leaf-spine is built with — also polarized).
 //
 // Link failures ("interface disabled" semantics): a down link's two
 // port queues are drained through Port::drop_queued — every backlogged
@@ -39,12 +42,43 @@
 
 namespace dtdctcp::sim {
 
-/// How per-switch ECMP hash salts are assigned by build_fat_tree.
+/// How per-switch ECMP hash salts are assigned by the Clos builder.
 enum class EcmpMode : std::uint8_t {
-  kLegacy,     ///< salt 0 everywhere: the pre-salt unsalted hash
+  kLegacy,     ///< salt 0 everywhere: the leaf-spine hash
   kBalanced,   ///< independent per-switch salts derived from ecmp_seed
   kPolarized,  ///< one identical non-zero salt everywhere (forced
                ///< hash polarization, seeded by ecmp_seed)
+};
+
+struct LeafSpineConfig {
+  std::size_t spines = 2;
+  std::size_t leaves = 4;
+  std::size_t hosts_per_leaf = 4;
+  DataRate host_link_bps = 10e9;
+  DataRate fabric_link_bps = 40e9;  ///< leaf <-> spine
+  SimTime host_link_delay = 5e-6;
+  SimTime fabric_link_delay = 5e-6;
+
+  /// Builder sanity limits — sized for stress-scale fabrics (tens of
+  /// thousands of hosts), far above anything the tests build; the
+  /// builder rejects configs beyond them (or with a zero dimension)
+  /// instead of silently allocating garbage.
+  static constexpr std::size_t kMaxSpines = 64;
+  static constexpr std::size_t kMaxLeaves = 512;
+  static constexpr std::size_t kMaxHostsPerLeaf = 512;
+
+  std::size_t total_hosts() const { return leaves * hosts_per_leaf; }
+
+  /// Stress-sized preset: 8 leaves x 32 hosts behind 4 spines (256
+  /// hosts, 2:1 oversubscription at the leaf). The fabric the parsim
+  /// scaling benches and `sim_fuzz --large` run on.
+  static LeafSpineConfig stress() {
+    LeafSpineConfig cfg;
+    cfg.spines = 4;
+    cfg.leaves = 8;
+    cfg.hosts_per_leaf = 32;
+    return cfg;
+  }
 };
 
 struct FatTreeConfig {
@@ -71,24 +105,19 @@ struct FatTreeConfig {
   static constexpr std::size_t kMaxHostsPerEdge = 64;
 
   std::size_t radix() const { return k / 2; }
-  std::size_t pods() const { return k; }
   std::size_t edge_hosts() const {
     return hosts_per_edge == 0 ? radix() : hosts_per_edge;
   }
-  std::size_t cores() const { return radix() * radix(); }
-  std::size_t aggs_per_pod() const { return radix(); }
-  std::size_t edges_per_pod() const { return radix(); }
-  std::size_t hosts_per_pod() const { return radix() * edge_hosts(); }
-  std::size_t total_hosts() const { return k * hosts_per_pod(); }
+  std::size_t total_hosts() const { return k * radix() * edge_hosts(); }
   /// Switch-switch links: k pods x (k/2 edges x k/2 aggs) intra-pod
   /// plus k pods x (k/2 aggs x k/2 core uplinks).
   std::size_t total_fabric_links() const { return 2 * k * radix() * radix(); }
 };
 
 /// One switch<->switch link (the failable set). Identified by its two
-/// (switch, egress port) endpoints.
+/// (switch, egress port) endpoints; `a` is the lower-tier end.
 struct FabricLink {
-  enum class Tier : std::uint8_t { kEdgeAgg, kAggCore };
+  enum class Tier : std::uint8_t { kEdgeAgg, kAggCore, kEdgeCore };
   Switch* a = nullptr;
   std::size_t a_port = 0;
   Switch* b = nullptr;
@@ -99,25 +128,36 @@ struct FabricLink {
 /// A scheduled link state change applied mid-run.
 struct LinkEvent {
   SimTime time = 0.0;
-  std::size_t link = 0;  ///< index into FatTree::links (mod link count)
+  std::size_t link = 0;  ///< index into Clos::links (mod link count)
   bool up = false;       ///< false: fails at `time`; true: recovers
 };
 
-struct FatTree {
+/// The shape a builder wired, derived from its config.
+struct ClosShape {
+  std::size_t pods = 0;
+  std::size_t edges_per_pod = 0;
+  std::size_t aggs_per_pod = 0;  ///< 0 = two tiers: edges uplink to every core
+  std::size_t cores = 0;
+  std::size_t hosts_per_edge = 0;
+
+  std::size_t hosts_per_pod() const { return edges_per_pod * hosts_per_edge; }
+};
+
+struct Clos {
   std::unique_ptr<Network> net;
-  FatTreeConfig cfg;
+  ClosShape cfg;  ///< the wired shape
   std::vector<Switch*> cores;
-  std::vector<Switch*> aggs;   ///< grouped by pod: aggs[p*radix + j]
-  std::vector<Switch*> edges;  ///< grouped by pod: edges[p*radix + e]
+  std::vector<Switch*> aggs;   ///< grouped by pod: aggs[p*aggs_per_pod + j]
+  std::vector<Switch*> edges;  ///< grouped by pod: edges[p*edges_per_pod + e]
   std::vector<Host*> hosts;    ///< grouped by edge switch, pods in order
+  /// Numbered pod by pod: each edge's uplinks in edge order, then each
+  /// agg's core stripe. A fat-tree pod is r*r edge-agg links followed by
+  /// r*r agg-core links (r = k/2); leaf-spine link l*S + s joins leaf l
+  /// (port s) to spine s (port l).
   std::vector<FabricLink> links;
   /// Serial-run link state (1 = down), maintained by set_link_state.
   /// Sharded runs keep one copy per shard and use apply_link_event.
   std::vector<char> link_down;
-
-  std::size_t pod_of_host(std::size_t host_index) const {
-    return host_index / cfg.hosts_per_pod();
-  }
 
   /// Serial convenience: brings `link` down (or back up) now —
   /// recomputes every switch's routes around the updated down set and,
@@ -142,11 +182,16 @@ struct FatTree {
                       const std::function<bool(const Switch&)>& mine);
 };
 
-/// Builds the fabric; `switch_queue` is installed on every switch
-/// egress port (host NICs get unbounded drop-tail). Throws
-/// std::invalid_argument for odd/zero k or dimensions beyond the
-/// FatTreeConfig limits.
-FatTree build_fat_tree(const FatTreeConfig& cfg,
-                       const QueueFactory& switch_queue);
+/// The historical name of Clos, kept for existing callers.
+using FatTree = Clos;
+
+/// Both builders install `switch_queue` on every switch egress port
+/// (host NICs get unbounded drop-tail) and throw std::invalid_argument
+/// for a zero dimension or one beyond their config's limits (and for an
+/// odd fat-tree k). Every leaf-spine uses EcmpMode::kLegacy.
+Clos build_leaf_spine(const LeafSpineConfig& cfg,
+                      const QueueFactory& switch_queue);
+Clos build_fat_tree(const FatTreeConfig& cfg,
+                    const QueueFactory& switch_queue);
 
 }  // namespace dtdctcp::sim

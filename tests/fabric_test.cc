@@ -1,9 +1,11 @@
-// Fat-tree fabric conformance suite: topology shape, seeded ECMP
-// (balanced vs forced-polarized), mid-run link failures with
-// conservation auditing, stale-route clearing, pod-whole sharding
-// determinism, and shared-buffer isolation on an oversubscribed fabric.
+// Clos fabric conformance suite: fat-tree shape and link numbering,
+// seeded ECMP (balanced vs forced-polarized), mid-run link failures
+// with conservation auditing on fat-tree and leaf-spine, stale-route
+// clearing, pod-whole sharding determinism, and shared-buffer isolation
+// on an oversubscribed fabric.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -15,7 +17,6 @@
 #include "parsim/partition.h"
 #include "queue/factory.h"
 #include "sim/fabric.h"
-#include "sim/leaf_spine.h"
 #include "sim/shared_buffer.h"
 #include "tcp/connection.h"
 #include "util/units.h"
@@ -47,6 +48,34 @@ std::vector<std::size_t> core_uplinks(const sim::FatTree& ft,
   return ports;
 }
 
+/// Links are numbered pod by pod: edge i's uplink to agg j at i*r + j,
+/// then agg i's uplink to core i*r + j at r*r + i*r + j. Uplinks are an
+/// edge's first ports; an agg's edge-facing ports precede its core
+/// uplinks; core port p faces pod p.
+void expect_per_pod_link_order(const sim::FatTree& ft) {
+  const std::size_t r = ft.cfg.aggs_per_pod;
+  ASSERT_EQ(ft.links.size(), ft.cfg.pods * 2 * r * r);
+  for (std::size_t p = 0; p < ft.cfg.pods; ++p) {
+    const sim::FabricLink* pod = &ft.links[p * 2 * r * r];
+    for (std::size_t i = 0; i < r; ++i) {
+      for (std::size_t j = 0; j < r; ++j) {
+        const sim::FabricLink& up = pod[i * r + j];
+        EXPECT_EQ(up.tier, sim::FabricLink::Tier::kEdgeAgg);
+        EXPECT_EQ(up.a, ft.edges[p * r + i]);
+        EXPECT_EQ(up.a_port, j);
+        EXPECT_EQ(up.b, ft.aggs[p * r + j]);
+        EXPECT_EQ(up.b_port, i);
+        const sim::FabricLink& core = pod[r * r + i * r + j];
+        EXPECT_EQ(core.tier, sim::FabricLink::Tier::kAggCore);
+        EXPECT_EQ(core.a, ft.aggs[p * r + i]);
+        EXPECT_EQ(core.a_port, r + j);
+        EXPECT_EQ(core.b, ft.cores[i * r + j]);
+        EXPECT_EQ(core.b_port, p);
+      }
+    }
+  }
+}
+
 TEST(FatTree, BuildsCanonicalShapeK4) {
   auto ft = sim::build_fat_tree(k4_config(), queue::drop_tail(0, 0));
   EXPECT_EQ(ft.cores.size(), 4u);
@@ -67,6 +96,7 @@ TEST(FatTree, BuildsCanonicalShapeK4) {
   }
   EXPECT_EQ(edge_agg, 16u);
   EXPECT_EQ(agg_core, 16u);
+  expect_per_pod_link_order(ft);
 }
 
 TEST(FatTree, BuildsCanonicalShapeK8) {
@@ -81,6 +111,7 @@ TEST(FatTree, BuildsCanonicalShapeK8) {
   for (auto* sw : ft.cores) EXPECT_EQ(sw->port_count(), 8u);
   for (auto* sw : ft.aggs) EXPECT_EQ(sw->port_count(), 8u);
   for (auto* sw : ft.edges) EXPECT_EQ(sw->port_count(), 8u);
+  expect_per_pod_link_order(ft);
 }
 
 TEST(FatTree, RejectsBadDimensions) {
@@ -173,7 +204,7 @@ std::pair<int, std::vector<int>> probe_uplink_spread(sim::FatTree& ft,
   ft.net->sim().run();
   int total_used = 0;
   std::vector<int> per_agg;
-  for (std::size_t j = 0; j < ft.cfg.aggs_per_pod(); ++j) {
+  for (std::size_t j = 0; j < ft.cfg.aggs_per_pod; ++j) {
     auto* agg = ft.aggs[j];  // pod 0
     int used = 0;
     for (std::size_t port : core_uplinks(ft, agg)) {
@@ -221,73 +252,98 @@ TEST(FatTree, PolarizedEcmpCollapsesEachAggToOneUplink) {
 }
 
 TEST(FatTree, LinkFailureReroutesAndConservationHolds) {
-  check::CheckConfig cc;
-  cc.abort_on_violation = false;
-  check::CheckScope scope(cc);
-  std::uint64_t down_drops = 0;
-  {
-    sim::FatTreeConfig cfg = k4_config();
-    cfg.ecmp = sim::EcmpMode::kBalanced;
-    cfg.ecmp_seed = 3;
-    // Slow core tier so agg uplink queues hold a real backlog when the
-    // link dies (the drained packets are what the ledger must absorb).
-    cfg.agg_core_bps = units::gbps(1);
-    auto ft = sim::build_fat_tree(
-        cfg, queue::ecn_threshold(0, 250, 20.0,
-                                  queue::ThresholdUnit::kPackets));
-    tcp::TcpConfig tcp;
-    tcp.mode = tcp::CcMode::kDctcp;
-    tcp.min_rto = 0.01;
-    tcp.init_rto = 0.01;
-    std::vector<std::unique_ptr<tcp::Connection>> conns;
-    const std::size_t pod_hosts = ft.cfg.hosts_per_pod();
-    for (std::size_t i = 0; i < ft.hosts.size(); ++i) {
-      conns.push_back(std::make_unique<tcp::Connection>(
-          *ft.net, *ft.hosts[i], *ft.hosts[(i + pod_hosts) % ft.hosts.size()],
-          tcp, 300));
-      conns.back()->start_at(0.0);
-    }
-    // Fail BOTH of agg0's core uplinks mid-transfer: every pod-0
-    // cross-pod flow must reroute through agg1 while the backlog queued
-    // on the dead links is drained into the drop ledger.
-    sim::FatTree* tp = &ft;
-    const auto uplinks = core_uplinks(ft, ft.aggs[0]);
-    std::size_t li = 0;
-    for (std::size_t idx = 0; idx < ft.links.size(); ++idx) {
-      const auto& l = ft.links[idx];
-      if (l.tier == sim::FabricLink::Tier::kAggCore && l.a == ft.aggs[0]) {
-        // 800us is the slow-start overshoot peak on this fabric: the
-        // uplink queues hold tens of packets, so the drain really has
-        // something to account.
-        ft.net->sim().at(800e-6, [tp, idx] {
-          tp->set_link_state(idx, false, 800e-6);
+  const auto marking =
+      queue::ecn_threshold(0, 250, 20.0, queue::ThresholdUnit::kPackets);
+  struct Case {
+    const char* name;
+    std::function<sim::Clos()> build;
+    std::vector<std::size_t> fail;  ///< links failed together mid-transfer
+    SimTime fail_at;
+  };
+  const Case cases[] = {
+      {"fat-tree",
+       [&] {
+         sim::FatTreeConfig cfg = k4_config();
+         cfg.ecmp = sim::EcmpMode::kBalanced;
+         cfg.ecmp_seed = 3;
+         // Slow core tier so agg uplink queues hold a real backlog when
+         // the link dies (the drained packets are what the ledger must
+         // absorb).
+         cfg.agg_core_bps = units::gbps(1);
+         return sim::build_fat_tree(cfg, marking);
+       },
+       // Links 4 and 5 (after pod 0's four edge-agg links): BOTH of
+       // agg0's core uplinks. Every pod-0 cross-pod flow must reroute
+       // through agg1 while the backlog queued on the dead links is
+       // drained into the drop ledger.
+       {4, 5},
+       // 800us is the slow-start overshoot peak on this fabric: the
+       // uplink queues hold tens of packets, so the drain really has
+       // something to account.
+       800e-6},
+      {"leaf-spine",
+       [&] {
+         return sim::build_leaf_spine(sim::LeafSpineConfig::stress(),
+                                      marking);
+       },
+       // Leaf 0's uplinks to spines 0 and 1: its flows must reroute
+       // through spines 2 and 3. At 100us the first windows of 32 hosts
+       // still queue on the 2:1 oversubscribed leaf uplinks.
+       {0, 1},
+       100e-6},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    check::CheckConfig cc;
+    cc.abort_on_violation = false;
+    check::CheckScope scope(cc);
+    std::uint64_t down_drops = 0;
+    {
+      sim::Clos fab = c.build();
+      tcp::TcpConfig tcp;
+      tcp.mode = tcp::CcMode::kDctcp;
+      tcp.min_rto = 0.01;
+      tcp.init_rto = 0.01;
+      std::vector<std::unique_ptr<tcp::Connection>> conns;
+      const std::size_t n = fab.hosts.size();
+      const std::size_t pod_hosts = fab.cfg.hosts_per_pod();
+      for (std::size_t i = 0; i < n; ++i) {
+        conns.push_back(std::make_unique<tcp::Connection>(
+            *fab.net, *fab.hosts[i], *fab.hosts[(i + pod_hosts) % n], tcp,
+            300));
+        conns.back()->start_at(0.0);
+      }
+      sim::Clos* fp = &fab;
+      for (const std::size_t idx : c.fail) {
+        fab.net->sim().at(c.fail_at, [fp, idx, t = c.fail_at] {
+          fp->set_link_state(idx, false, t);
         });
-        ++li;
       }
-    }
-    ASSERT_EQ(li, uplinks.size());
-    ft.net->sim().run();
-    EXPECT_TRUE(ft.net->sim().empty());
-    for (const auto& c : conns) {
-      EXPECT_TRUE(c->sender().completed())
-          << "flow " << c->flow() << " stuck after reroute";
-    }
-    for (auto* agg : ft.aggs) {
-      for (std::size_t p = 0; p < agg->port_count(); ++p) {
-        down_drops += agg->port(p).link_down_drops();
+      fab.net->sim().run();
+      EXPECT_TRUE(fab.net->sim().empty());
+      for (const auto& conn : conns) {
+        EXPECT_TRUE(conn->sender().completed())
+            << "flow " << conn->flow() << " stuck after reroute";
       }
+      for (const auto* tier : {&fab.edges, &fab.aggs, &fab.cores}) {
+        for (sim::Switch* sw : *tier) {
+          for (std::size_t p = 0; p < sw->port_count(); ++p) {
+            down_drops += sw->port(p).link_down_drops();
+          }
+        }
+      }
+      if (scope.checker() != nullptr) scope.checker()->finalize();
+    }  // fabric torn down with the checker installed
+    if (check::compiled() && scope.checker() != nullptr) {
+      EXPECT_EQ(scope.checker()->violation_count(), 0u);
+      const auto totals = scope.checker()->totals();
+      EXPECT_EQ(totals.injected, totals.delivered + totals.dropped +
+                                     totals.retired + totals.exported);
+      // The failed links held a backlog; those packets must be accounted
+      // as drops, not leaked.
+      EXPECT_GT(down_drops, 0u);
+      EXPECT_GE(totals.dropped, down_drops);
     }
-    if (scope.checker() != nullptr) scope.checker()->finalize();
-  }  // fabric torn down with the checker installed
-  if (check::compiled() && scope.checker() != nullptr) {
-    EXPECT_EQ(scope.checker()->violation_count(), 0u);
-    const auto totals = scope.checker()->totals();
-    EXPECT_EQ(totals.injected, totals.delivered + totals.dropped +
-                                   totals.retired + totals.exported);
-    // The failed links held a backlog; those packets must be accounted
-    // as drops, not leaked.
-    EXPECT_GT(down_drops, 0u);
-    EXPECT_GE(totals.dropped, down_drops);
   }
 }
 
@@ -376,8 +432,8 @@ TEST(FatTree, PodWholePartitionCutsOnlyCoreUplinks) {
   auto ft = sim::build_fat_tree(k4_config(), queue::drop_tail(0, 0));
   const auto part = parsim::fat_tree_partition(ft, 2);
   EXPECT_EQ(part.shards, 2u);
-  const std::size_t r = ft.cfg.radix();
-  for (std::size_t pod = 0; pod < ft.cfg.pods(); ++pod) {
+  const std::size_t r = ft.cfg.aggs_per_pod;
+  for (std::size_t pod = 0; pod < ft.cfg.pods; ++pod) {
     const std::uint32_t shard = part.of(ft.edges[pod * r]->id());
     EXPECT_EQ(shard, pod % 2);
     for (std::size_t i = 0; i < r; ++i) {
@@ -410,6 +466,16 @@ parsim::FabricConfig fat_fabric_config(std::size_t shards) {
   return fc;
 }
 
+parsim::FabricConfig stress_leaf_spine_config(std::size_t shards) {
+  parsim::FabricConfig fc;
+  fc.fabric = sim::LeafSpineConfig::stress();
+  fc.shards = shards;
+  fc.segments_per_flow = 60;
+  fc.seed = 21;
+  fc.check = parsim::ShardRunnerOptions::Check::kOff;
+  return fc;
+}
+
 TEST(FatTreeSharded, SerialMatchesSingleShardByteForByte) {
   const auto serial = parsim::run_fabric(fat_fabric_config(0));
   const auto one_shard = parsim::run_fabric(fat_fabric_config(1));
@@ -427,33 +493,48 @@ TEST(FatTreeSharded, TwoShardsAreRunToRunDeterministic) {
 }
 
 TEST(FatTreeSharded, LinkFailureIsDeterministicSerialAndSharded) {
-  auto make = [](std::size_t shards) {
-    auto fc = fat_fabric_config(shards);
-    // 16 = first agg-core link (after the 16 intra-pod links of a k=4
-    // fabric); down while the permutation is in full flight, back up
-    // before the retransmission tail so recovery is exercised too.
-    fc.link_events.push_back({230e-6, 16, false});
-    fc.link_events.push_back({1200e-6, 16, true});
-    return fc;
+  struct Case {
+    const char* name;
+    parsim::FabricConfig (*config)(std::size_t shards);
+    std::size_t link;
+    SimTime down;
+    SimTime up;
   };
-  const auto serial = parsim::run_fabric(make(0));
-  const auto serial2 = parsim::run_fabric(make(0));
-  EXPECT_EQ(serial.digest, serial2.digest);
-  EXPECT_EQ(serial.completed, serial.flows);
+  const Case cases[] = {
+      // 16 = pod 2's first edge-agg link; down while the permutation is
+      // in full flight, back up before the retransmission tail so
+      // recovery is exercised too.
+      {"fat-tree", fat_fabric_config, 16, 230e-6, 1200e-6},
+      // 3 = leaf 0's uplink to spine 3.
+      {"leaf-spine", stress_leaf_spine_config, 3, 100e-6, 900e-6},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto make = [&c](std::size_t shards) {
+      auto fc = c.config(shards);
+      fc.link_events.push_back({c.down, c.link, false});
+      fc.link_events.push_back({c.up, c.link, true});
+      return fc;
+    };
+    const auto serial = parsim::run_fabric(make(0));
+    const auto serial2 = parsim::run_fabric(make(0));
+    EXPECT_EQ(serial.digest, serial2.digest);
+    EXPECT_EQ(serial.completed, serial.flows);
 
-  const auto one = parsim::run_fabric(make(1));
-  EXPECT_EQ(serial.digest, one.digest);
+    const auto one = parsim::run_fabric(make(1));
+    EXPECT_EQ(serial.digest, one.digest);
 
-  const auto two_a = parsim::run_fabric(make(2));
-  const auto two_b = parsim::run_fabric(make(2));
-  EXPECT_TRUE(two_a.ledger_ok);
-  EXPECT_EQ(two_a.digest, two_b.digest);
-  EXPECT_EQ(two_a.completed, two_a.flows);
+    const auto two_a = parsim::run_fabric(make(2));
+    const auto two_b = parsim::run_fabric(make(2));
+    EXPECT_TRUE(two_a.ledger_ok);
+    EXPECT_EQ(two_a.digest, two_b.digest);
+    EXPECT_EQ(two_a.completed, two_a.flows);
 
-  // The failure must actually bite somewhere (digest differs from the
-  // no-failure run of the same seed).
-  const auto clean = parsim::run_fabric(fat_fabric_config(0));
-  EXPECT_NE(serial.digest, clean.digest);
+    // The failure must actually bite somewhere (digest differs from the
+    // no-failure run of the same seed).
+    const auto clean = parsim::run_fabric(c.config(0));
+    EXPECT_NE(serial.digest, clean.digest);
+  }
 }
 
 TEST(FatTreeSharded, PriorityClassesRunDeterministically) {
@@ -580,8 +661,8 @@ TEST(LeafSpine, RerouteHasNoSpineZeroAssumption) {
   // Port layout pinned by the builder: leaf l's spine links come first
   // (port s = spine s), spine s's leaf links in leaf order (port l =
   // leaf l).
-  sim::Switch* leaf0 = fab.leaves[0];
-  sim::Switch* spine0 = fab.spines[0];
+  sim::Switch* leaf0 = fab.edges[0];
+  sim::Switch* spine0 = fab.cores[0];
   fab.net->rebuild_routes(
       [&](const sim::Switch& sw, std::size_t p) {
         if (&sw == leaf0 && p == 0) return false;   // leaf0 -> spine0
@@ -606,7 +687,7 @@ TEST(LeafSpine, RerouteHasNoSpineZeroAssumption) {
   EXPECT_EQ(sink.count, 8);
   // Nothing from leaf0 crossed spine0.
   EXPECT_EQ(spine0->port(1).packets_sent(), 0u);  // spine0 -> leaf1
-  for (auto* sw : fab.leaves) EXPECT_EQ(sw->unrouted_drops(), 0u);
+  for (auto* sw : fab.edges) EXPECT_EQ(sw->unrouted_drops(), 0u);
 }
 
 }  // namespace

@@ -194,11 +194,16 @@ TEST(HybridIdentity, InertAggregateIsByteIdenticalSerially) {
 // ---------------------------------------------------------------------------
 // Sharded identity + determinism (parsim fabric)
 
-parsim::FabricConfig fabric_config(std::size_t shards) {
+parsim::FabricConfig fabric_config(parsim::FabricTopology topology,
+                                   std::size_t shards) {
   parsim::FabricConfig cfg;
+  cfg.topology = topology;
   cfg.fabric.spines = 2;
   cfg.fabric.leaves = 4;
   cfg.fabric.hosts_per_leaf = 4;
+  cfg.fat_tree.k = 4;
+  cfg.fat_tree.ecmp = sim::EcmpMode::kBalanced;
+  cfg.fat_tree.ecmp_seed = 3;
   cfg.shards = shards;
   cfg.segments_per_flow = 60;
   cfg.seed = 3;
@@ -206,41 +211,58 @@ parsim::FabricConfig fabric_config(std::size_t shards) {
   return cfg;
 }
 
+/// Every HybridFabric test runs on both Clos shapes.
+constexpr parsim::FabricTopology kTopologies[] = {
+    parsim::FabricTopology::kLeafSpine, parsim::FabricTopology::kFatTree};
+
+const char* topology_name(parsim::FabricTopology t) {
+  return t == parsim::FabricTopology::kFatTree ? "fat-tree" : "leaf-spine";
+}
+
 TEST(HybridFabric, ZeroFlowAggregatesKeepShardedDigest) {
-  auto off = fabric_config(2);
-  const auto base = parsim::run_fabric(off);
-  auto inert = fabric_config(2);
-  inert.hybrid_background = true;
-  inert.hybrid_flows = 0.0;
-  const auto hybrid = parsim::run_fabric(inert);
-  EXPECT_EQ(base.digest, hybrid.digest);
-  EXPECT_EQ(base.completed, hybrid.completed);
-  EXPECT_GT(hybrid.hybrid_ticks, 0u);  // the coupler really ran
-  EXPECT_DOUBLE_EQ(hybrid.hybrid_share_mean, 0.0);
+  for (const auto topology : kTopologies) {
+    SCOPED_TRACE(topology_name(topology));
+    auto off = fabric_config(topology, 2);
+    const auto base = parsim::run_fabric(off);
+    auto inert = fabric_config(topology, 2);
+    inert.hybrid_background = true;
+    inert.hybrid_flows = 0.0;
+    const auto hybrid = parsim::run_fabric(inert);
+    EXPECT_EQ(base.digest, hybrid.digest);
+    EXPECT_EQ(base.completed, hybrid.completed);
+    EXPECT_GT(hybrid.hybrid_ticks, 0u);  // the coupler really ran
+    EXPECT_DOUBLE_EQ(hybrid.hybrid_share_mean, 0.0);
+  }
 }
 
 TEST(HybridFabric, ActiveAggregatesAreDigestDeterministic) {
-  auto cfg = fabric_config(2);
-  cfg.hybrid_background = true;
-  cfg.hybrid_flows = 500.0;
-  const auto a = parsim::run_fabric(cfg);
-  const auto b = parsim::run_fabric(cfg);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_GT(a.hybrid_ticks, 0u);
-  EXPECT_GT(a.hybrid_share_mean, 0.0);
+  for (const auto topology : kTopologies) {
+    SCOPED_TRACE(topology_name(topology));
+    auto cfg = fabric_config(topology, 2);
+    cfg.hybrid_background = true;
+    cfg.hybrid_flows = 500.0;
+    const auto a = parsim::run_fabric(cfg);
+    const auto b = parsim::run_fabric(cfg);
+    EXPECT_EQ(a.digest, b.digest);
+    EXPECT_GT(a.hybrid_ticks, 0u);
+    EXPECT_GT(a.hybrid_share_mean, 0.0);
+  }
 }
 
 TEST(HybridFabric, SerialAndOneShardAgreeWithHybridOn) {
-  auto serial = fabric_config(0);
-  serial.hybrid_background = true;
-  serial.hybrid_flows = 500.0;
-  auto one = fabric_config(1);
-  one.hybrid_background = true;
-  one.hybrid_flows = 500.0;
-  const auto a = parsim::run_fabric(serial);
-  const auto b = parsim::run_fabric(one);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.completed, b.completed);
+  for (const auto topology : kTopologies) {
+    SCOPED_TRACE(topology_name(topology));
+    auto serial = fabric_config(topology, 0);
+    serial.hybrid_background = true;
+    serial.hybrid_flows = 500.0;
+    auto one = fabric_config(topology, 1);
+    one.hybrid_background = true;
+    one.hybrid_flows = 500.0;
+    const auto a = parsim::run_fabric(serial);
+    const auto b = parsim::run_fabric(one);
+    EXPECT_EQ(a.digest, b.digest);
+    EXPECT_EQ(a.completed, b.completed);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "queue/factory.h"
-#include "sim/leaf_spine.h"
+#include "sim/fabric.h"
 #include "tcp/connection.h"
 
 namespace dtdctcp {
@@ -23,13 +23,27 @@ sim::LeafSpineConfig small_fabric() {
 
 TEST(LeafSpine, BuildsExpectedShape) {
   auto fab = sim::build_leaf_spine(small_fabric(), queue::drop_tail(0, 0));
-  EXPECT_EQ(fab.spines.size(), 2u);
-  EXPECT_EQ(fab.leaves.size(), 3u);
+  EXPECT_EQ(fab.cores.size(), 2u);
+  EXPECT_EQ(fab.edges.size(), 3u);
+  EXPECT_TRUE(fab.aggs.empty());
   EXPECT_EQ(fab.hosts.size(), 6u);
   // Each leaf: 2 spine uplinks + 2 host downlinks.
-  for (auto* leaf : fab.leaves) EXPECT_EQ(leaf->port_count(), 4u);
+  for (auto* leaf : fab.edges) EXPECT_EQ(leaf->port_count(), 4u);
   // Each spine: one port per leaf.
-  for (auto* spine : fab.spines) EXPECT_EQ(spine->port_count(), 3u);
+  for (auto* spine : fab.cores) EXPECT_EQ(spine->port_count(), 3u);
+  // Link l*S + s joins leaf l (port s) to spine s (port l).
+  const std::size_t spines = fab.cores.size();
+  ASSERT_EQ(fab.links.size(), fab.edges.size() * spines);
+  for (std::size_t l = 0; l < fab.edges.size(); ++l) {
+    for (std::size_t s = 0; s < spines; ++s) {
+      const sim::FabricLink& link = fab.links[l * spines + s];
+      EXPECT_EQ(link.a, fab.edges[l]);
+      EXPECT_EQ(link.a_port, s);
+      EXPECT_EQ(link.b, fab.cores[s]);
+      EXPECT_EQ(link.b_port, l);
+      EXPECT_EQ(link.tier, sim::FabricLink::Tier::kEdgeCore);
+    }
+  }
 }
 
 TEST(LeafSpine, AllPairsReachable) {
@@ -61,8 +75,8 @@ TEST(LeafSpine, AllPairsReachable) {
   int delivered = 0;
   for (const auto& c : counters) delivered += c->count;
   EXPECT_EQ(delivered, expected);
-  for (auto* sw : fab.leaves) EXPECT_EQ(sw->unrouted_drops(), 0u);
-  for (auto* sw : fab.spines) EXPECT_EQ(sw->unrouted_drops(), 0u);
+  for (auto* sw : fab.edges) EXPECT_EQ(sw->unrouted_drops(), 0u);
+  for (auto* sw : fab.cores) EXPECT_EQ(sw->unrouted_drops(), 0u);
 }
 
 TEST(LeafSpine, EcmpSpreadsFlowsAcrossSpines) {
@@ -103,7 +117,7 @@ TEST(LeafSpine, IntraRackTrafficStaysOffTheFabric) {
   conn.start_at(0.0);
   fab.net->sim().run();
   EXPECT_TRUE(conn.sender().completed());
-  for (auto* spine : fab.spines) {
+  for (auto* spine : fab.cores) {
     for (std::size_t p = 0; p < spine->port_count(); ++p) {
       EXPECT_EQ(spine->port(p).packets_sent(), 0u);
     }

@@ -16,7 +16,7 @@
 #include "parsim/shard_runner.h"
 #include "parsim/sharded_network.h"
 #include "queue/factory.h"
-#include "sim/leaf_spine.h"
+#include "sim/fabric.h"
 #include "stats/metrics.h"
 #include "tcp/connection.h"
 #include "util/units.h"
@@ -91,22 +91,22 @@ TEST(Partition, LeafSpineKeepsRacksWhole) {
   cfg.spines = 2;
   cfg.leaves = 4;
   cfg.hosts_per_leaf = 3;
-  sim::LeafSpine fabric =
-      sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
-  const Partition p = leaf_spine_partition(fabric, cfg, 2);
+  sim::Clos fabric = sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
+  const Partition p = clos_partition(fabric, 2);
   EXPECT_EQ(p.shards, 2u);
   // A leaf and every host below it share a shard (the leaf<->host links
   // are never cut, keeping the lookahead at the fabric-link delay).
   for (std::size_t l = 0; l < cfg.leaves; ++l) {
-    const std::uint32_t leaf_shard = p.of(fabric.leaves[l]->id());
+    const std::uint32_t leaf_shard = p.of(fabric.edges[l]->id());
     EXPECT_EQ(leaf_shard, l % 2);
     for (std::size_t h = 0; h < cfg.hosts_per_leaf; ++h) {
-      EXPECT_EQ(p.of(fabric.host(l, h, cfg.hosts_per_leaf).id()), leaf_shard);
+      EXPECT_EQ(p.of(fabric.hosts[l * cfg.hosts_per_leaf + h]->id()),
+                leaf_shard);
     }
   }
   // Spines round-robin across shards.
-  EXPECT_EQ(p.of(fabric.spines[0]->id()), 0u);
-  EXPECT_EQ(p.of(fabric.spines[1]->id()), 1u);
+  EXPECT_EQ(p.of(fabric.cores[0]->id()), 0u);
+  EXPECT_EQ(p.of(fabric.cores[1]->id()), 1u);
 }
 
 TEST(Partition, ShardCountClampedToLeaves) {
@@ -114,9 +114,8 @@ TEST(Partition, ShardCountClampedToLeaves) {
   cfg.spines = 1;
   cfg.leaves = 2;
   cfg.hosts_per_leaf = 1;
-  sim::LeafSpine fabric =
-      sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
-  EXPECT_EQ(leaf_spine_partition(fabric, cfg, 16).shards, 2u);
+  sim::Clos fabric = sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
+  EXPECT_EQ(clos_partition(fabric, 16).shards, 2u);
 }
 
 TEST(ShardedNet, RejectsBadPartitions) {
@@ -124,8 +123,7 @@ TEST(ShardedNet, RejectsBadPartitions) {
   cfg.spines = 1;
   cfg.leaves = 2;
   cfg.hosts_per_leaf = 1;
-  sim::LeafSpine fabric =
-      sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
+  sim::Clos fabric = sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
   Partition wrong_size;
   wrong_size.shards = 1;
   wrong_size.shard_of.assign(2, 0);  // fabric has 5 nodes
@@ -143,10 +141,8 @@ TEST(ShardedNet, RejectsZeroDelayCutLink) {
   cfg.leaves = 2;
   cfg.hosts_per_leaf = 1;
   cfg.fabric_link_delay = 0.0;  // cutting this collapses the lookahead
-  sim::LeafSpine fabric =
-      sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
-  EXPECT_THROW(ShardedNetwork(*fabric.net,
-                              leaf_spine_partition(fabric, cfg, 2)),
+  sim::Clos fabric = sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
+  EXPECT_THROW(ShardedNetwork(*fabric.net, clos_partition(fabric, 2)),
                std::invalid_argument);
 }
 
@@ -157,15 +153,13 @@ TEST(ShardedNet, LookaheadIsMinCutDelayAndSingleShardIsInfinite) {
   cfg.hosts_per_leaf = 2;
   cfg.fabric_link_delay = 4e-6;
   {
-    sim::LeafSpine fabric =
-        sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
-    ShardedNetwork two(*fabric.net, leaf_spine_partition(fabric, cfg, 2));
+    sim::Clos fabric = sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
+    ShardedNetwork two(*fabric.net, clos_partition(fabric, 2));
     EXPECT_DOUBLE_EQ(two.lookahead(), 4e-6);
     EXPECT_GT(two.cross_links(), 0u);
   }
   {
-    sim::LeafSpine fabric =
-        sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
+    sim::Clos fabric = sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
     ShardedNetwork one(*fabric.net,
                        Partition::single(fabric.net->nodes().size()));
     EXPECT_EQ(one.lookahead(), kInf);
@@ -178,11 +172,10 @@ TEST(ShardedNet, LookaheadIsMinCutDelayAndSingleShardIsInfinite) {
 TEST(LeafSpineStress, PresetShapeAndLimits) {
   const sim::LeafSpineConfig cfg = sim::LeafSpineConfig::stress();
   EXPECT_EQ(cfg.total_hosts(), 256u);
-  sim::LeafSpine fabric =
-      sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
+  sim::Clos fabric = sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
   EXPECT_EQ(fabric.hosts.size(), 256u);
-  EXPECT_EQ(fabric.leaves.size(), 8u);
-  EXPECT_EQ(fabric.spines.size(), 4u);
+  EXPECT_EQ(fabric.edges.size(), 8u);
+  EXPECT_EQ(fabric.cores.size(), 4u);
 
   sim::LeafSpineConfig bad = cfg;
   bad.leaves = 0;
@@ -273,11 +266,11 @@ TEST(ShardRunnerMetrics, ExportsLoadCounters) {
   cfg.spines = 2;
   cfg.leaves = 2;
   cfg.hosts_per_leaf = 2;
-  sim::LeafSpine fabric =
+  sim::Clos fabric =
       sim::build_leaf_spine(cfg, queue::ecn_threshold(
                                      0, 100, 20.0,
                                      queue::ThresholdUnit::kPackets));
-  ShardedNetwork sharded(*fabric.net, leaf_spine_partition(fabric, cfg, 2));
+  ShardedNetwork sharded(*fabric.net, clos_partition(fabric, 2));
   ShardRunner runner(sharded);
 
   std::vector<std::unique_ptr<tcp::Connection>> conns;
@@ -317,9 +310,8 @@ TEST(ShardRunnerMetrics, RunUntilAdvancesEveryShardClockExactly) {
   cfg.spines = 1;
   cfg.leaves = 2;
   cfg.hosts_per_leaf = 1;
-  sim::LeafSpine fabric =
-      sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
-  ShardedNetwork sharded(*fabric.net, leaf_spine_partition(fabric, cfg, 2));
+  sim::Clos fabric = sim::build_leaf_spine(cfg, queue::drop_tail(0, 100));
+  ShardedNetwork sharded(*fabric.net, clos_partition(fabric, 2));
   ShardRunner runner(sharded);
   runner.run_until(0.25);
   EXPECT_DOUBLE_EQ(sharded.shard_sim(0).now(), 0.25);

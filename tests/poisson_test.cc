@@ -7,7 +7,7 @@
 
 #include "analysis/margins.h"
 #include "queue/factory.h"
-#include "sim/leaf_spine.h"
+#include "sim/fabric.h"
 #include "workload/flow_sampler.h"
 #include "workload/poisson_flows.h"
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "check/checker.h"
 #include "check/fuzz.h"
@@ -62,6 +63,23 @@ TEST(PropertyFuzz, ScenarioGenerationIsDeterministic) {
   EXPECT_EQ(a.buffer_packets, b.buffer_packets);
   // A fresh seed changes at least the one-line description.
   EXPECT_NE(a.describe(), generate_scenario(1235).describe());
+}
+
+TEST(PropertyFuzz, DescribePrintsPoolOnlyForRigsThatInstallIt) {
+  // Seeds 13 (leaf-spine) and 15 (fat-tree) draw a shared-buffer pool
+  // that fabric rigs never install; seeds 9 (incast) and 10 (dumbbell)
+  // draw one their rigs do install.
+  for (const std::uint64_t seed : {13, 15}) {
+    const FuzzScenario sc = generate_scenario(seed);
+    ASSERT_GT(sc.pool_capacity_packets, 0u);
+    EXPECT_EQ(sc.describe().find("pool="), std::string::npos)
+        << sc.describe();
+  }
+  for (const std::uint64_t seed : {9, 10}) {
+    const FuzzScenario sc = generate_scenario(seed);
+    EXPECT_NE(sc.describe().find("pool="), std::string::npos)
+        << sc.describe();
+  }
 }
 
 TEST(PropertyFuzz, ReproCommandEncodesShrunkenDimensions) {

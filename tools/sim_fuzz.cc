@@ -14,9 +14,10 @@
 //       Cross-validate N stable-regime dumbbells against the fluid
 //       model's operating point.
 //   sim_fuzz --large N [--seed S]
-//       Large-scenario mode: N stress-preset leaf-spine fabrics (256
-//       hosts) through the parsim sharded executor with forced
-//       per-shard checkers and a run-twice digest-determinism check.
+//       Large-scenario mode: N sharded fabrics (the 256-host stress
+//       leaf-spine or a k=4 fat-tree) through the parsim executor with
+//       forced per-shard checkers and a run-twice digest-determinism
+//       check.
 //   sim_fuzz --inject MODE [--seed S]
 //       Fault-injection smoke test: commit the named fault
 //       (uncounted-drop, fifo-swap, occupancy-leak, spurious-mark,
