@@ -49,11 +49,8 @@ int main() {
 
   const std::vector<double> gains = {1.0 / 64.0, 1.0 / 32.0, 1.0 / 16.0,
                                      1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0};
-  runner::RunnerTelemetry tm;
-  const auto rows = runner::run_jobs(
-      gains.size(), [&](std::size_t i) { return run_gain(gains[i]); },
-      bench::runner_options("g"), &tm);
-  bench::report_telemetry("g", tm);
+  const auto rows = runner::sweep(
+      "g", gains.size(), [&](std::size_t i) { return run_gain(gains[i]); });
 
   std::printf("%8s | %8s %8s %8s %8s | %9s %9s\n", "g", "DC_qsd",
               "DC_alpha", "DT_qsd", "DT_alpha", "DC_critN", "DT_critN");

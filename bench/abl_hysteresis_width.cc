@@ -47,12 +47,9 @@ int main() {
   std::printf("analysis:   RTT 1 ms (oscillatory regime), critical N\n\n");
 
   const std::vector<double> widths = {0.0, 4.0, 10.0, 20.0, 30.0, 40.0};
-  runner::RunnerTelemetry tm;
-  const auto rows = runner::run_jobs(
-      widths.size(),
-      [&](std::size_t i) { return run_width(flows, widths[i]); },
-      bench::runner_options("width"), &tm);
-  bench::report_telemetry("width", tm);
+  const auto rows = runner::sweep("width", widths.size(), [&](std::size_t i) {
+    return run_width(flows, widths[i]);
+  });
 
   std::printf("%8s %8s %8s | %10s %10s %10s | %10s\n", "width", "K1", "K2",
               "qmean", "qsd", "drops", "critN");

@@ -29,16 +29,12 @@ int main() {
 
   const std::vector<std::size_t> flow_counts = {10, 25, 50, 75, 100};
   // One job per (N, mark point): even index arrival, odd dequeue.
-  runner::RunnerTelemetry tm;
-  const auto results = runner::run_jobs(
-      flow_counts.size() * 2,
-      [&](std::size_t job) {
+  const auto results = runner::sweep(
+      "markpoint", flow_counts.size() * 2, [&](std::size_t job) {
         return run_point(flow_counts[job / 2],
                          job % 2 == 0 ? queue::MarkPoint::kArrival
                                       : queue::MarkPoint::kDequeue);
-      },
-      bench::runner_options("markpoint"), &tm);
-  bench::report_telemetry("markpoint", tm);
+      });
 
   std::printf("%5s | %10s %10s %8s | %10s %10s %8s\n", "N", "arr_mean",
               "arr_sd", "arr_to", "deq_mean", "deq_sd", "deq_to");

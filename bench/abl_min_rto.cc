@@ -38,16 +38,12 @@ int main() {
   const std::vector<double> rtos_ms = {200.0, 50.0, 10.0};
   const std::vector<std::size_t> fan_ins = {24, 32, 36, 40, 44, 48};
   // Job index: (rto, n, protocol) in row-major order, DC before DT.
-  runner::RunnerTelemetry tm;
-  const auto results = runner::run_jobs(
-      rtos_ms.size() * fan_ins.size() * 2,
-      [&](std::size_t job) {
+  const auto results = runner::sweep(
+      "minrto", rtos_ms.size() * fan_ins.size() * 2, [&](std::size_t job) {
         const double rto_ms = rtos_ms[job / (fan_ins.size() * 2)];
         const std::size_t n = fan_ins[(job / 2) % fan_ins.size()];
         return run_point(n, /*dt=*/job % 2 == 1, rto_ms * 1e-3);
-      },
-      bench::runner_options("minrto"), &tm);
-  bench::report_telemetry("minrto", tm);
+      });
 
   for (std::size_t r = 0; r < rtos_ms.size(); ++r) {
     const double rto_ms = rtos_ms[r];

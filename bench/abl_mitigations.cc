@@ -56,16 +56,12 @@ int main() {
   const std::vector<std::size_t> fan_ins = {36, 40, 44};
   const std::size_t n_mit = std::size(mitigations);
   // Job index: (n, mitigation, protocol) in row-major order, DC first.
-  runner::RunnerTelemetry tm;
-  const auto results = runner::run_jobs(
-      fan_ins.size() * n_mit * 2,
-      [&](std::size_t job) {
+  const auto results = runner::sweep(
+      "mitigations", fan_ins.size() * n_mit * 2, [&](std::size_t job) {
         const std::size_t n = fan_ins[job / (n_mit * 2)];
         const auto& m = mitigations[(job / 2) % n_mit];
         return run_point(n, /*dt=*/job % 2 == 1, m);
-      },
-      bench::runner_options("mitigations"), &tm);
-  bench::report_telemetry("mitigations", tm);
+      });
 
   for (std::size_t ni = 0; ni < fan_ins.size(); ++ni) {
     bench::section(

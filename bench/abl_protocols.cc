@@ -58,14 +58,10 @@ int main() {
   const std::vector<std::size_t> flow_counts = {10, 60};
   const std::size_t n_cases = std::size(cases);
   // Job index: (flow count, stack) in row-major order.
-  runner::RunnerTelemetry tm;
-  const auto results = runner::run_jobs(
-      flow_counts.size() * n_cases,
-      [&](std::size_t job) {
+  const auto results = runner::sweep(
+      "protocols", flow_counts.size() * n_cases, [&](std::size_t job) {
         return run_case(cases[job % n_cases], flow_counts[job / n_cases]);
-      },
-      bench::runner_options("protocols"), &tm);
-  bench::report_telemetry("protocols", tm);
+      });
 
   for (std::size_t fi = 0; fi < flow_counts.size(); ++fi) {
     bench::section(flow_counts[fi] == 10 ? "N = 10 flows" : "N = 60 flows");

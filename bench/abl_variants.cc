@@ -39,15 +39,11 @@ int main() {
 
   const std::vector<std::size_t> flow_counts = {10, 20, 35, 50, 65, 80, 100};
   constexpr std::size_t kVariants = 4;
-  runner::RunnerTelemetry tm;
-  const auto results = runner::run_jobs(
-      flow_counts.size() * kVariants,
-      [&](std::size_t job) {
+  const auto results = runner::sweep(
+      "variants", flow_counts.size() * kVariants, [&](std::size_t job) {
         return run_variant(flow_counts[job / kVariants],
                            static_cast<int>(job % kVariants));
-      },
-      bench::runner_options("variants"), &tm);
-  bench::report_telemetry("variants", tm);
+      });
 
   std::printf("%5s | %16s %16s %16s %16s\n", "N", "DCTCP", "DT-trendpeak",
               "DT-draintostart", "DT-halfband");

@@ -8,14 +8,18 @@
 //   * a PAPER-EXPECTATION block naming the qualitative shape to check.
 //
 // DTDCTCP_BENCH_SCALE scales simulated durations / repetition counts
-// (default 1.0; e.g. 0.2 for a quick smoke run).
+// (default 1.0; e.g. 0.2 for a quick smoke run). DTDCTCP_CSV_DIR names
+// the one export directory (dtdctcp::export_path): plot CSVs, metrics
+// dumps and each bench's JSON report land there.
 #pragma once
 
+#include <concepts>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "runner/runner.h"
 #include "util/csv.h"
 #include "util/env.h"
 
@@ -49,41 +53,15 @@ inline std::size_t scaled_count(std::size_t value, std::size_t min_value) {
   return n < min_value ? min_value : n;
 }
 
-/// Runner options with the standard bench progress line on stderr:
-///   [tag] 12/57 jobs done (last 0.82s)
-/// Progress order follows completion, so it may interleave differently
-/// between runs; the tables/CSV on stdout are printed from the ordered
-/// result vector and stay byte-identical for any worker count.
-inline runner::RunnerOptions runner_options(const char* tag) {
-  runner::RunnerOptions opts;
-  opts.progress = [tag](const runner::Progress& p) {
-    std::fprintf(stderr, "  [%s] %zu/%zu jobs done (last %.2fs)\n", tag,
-                 p.completed, p.total, p.job_seconds);
-  };
-  return opts;
-}
-
-/// Prints the runner's timing telemetry (wall clock, aggregate job
-/// time, parallel speedup) on stderr after a sweep.
-inline void report_telemetry(const char* tag,
-                             const runner::RunnerTelemetry& tm) {
-  std::fprintf(stderr,
-               "  [%s] %zu jobs on %zu workers: %.2fs wall, %.2fs of "
-               "simulation (%.2fx speedup, slowest job %.2fs)\n",
-               tag, tm.jobs, tm.workers, tm.wall_seconds,
-               tm.job_seconds_total, tm.speedup(), tm.job_seconds_max);
-}
-
-/// Writes plot-ready CSV next to the printed table when DTDCTCP_CSV_DIR
-/// is set (e.g. DTDCTCP_CSV_DIR=/tmp/plots ./build/bench/fig10_avg_queue).
-/// Silently does nothing otherwise; failures to open the file are
-/// reported on stderr but never fail the bench.
+/// Writes plot-ready CSV next to the printed table into the export
+/// directory (e.g. DTDCTCP_CSV_DIR=/tmp/plots ./build/bench/fig10_avg_queue).
+/// Silently does nothing when it is unset; failures to open the file
+/// are reported on stderr but never fail the bench.
 inline void maybe_write_csv(const std::string& name,
                             const std::vector<std::string>& header,
                             const std::vector<std::vector<double>>& rows) {
-  const char* dir = std::getenv("DTDCTCP_CSV_DIR");
-  if (dir == nullptr || *dir == '\0') return;
-  const std::string path = std::string(dir) + "/" + name + ".csv";
+  const std::string path = dtdctcp::export_path(name + ".csv");
+  if (path.empty()) return;
   auto out = dtdctcp::open_csv(path);
   if (!out.is_open()) {
     std::fprintf(stderr, "could not open %s for CSV export\n", path.c_str());
@@ -94,5 +72,64 @@ inline void maybe_write_csv(const std::string& name,
   for (const auto& r : rows) w.numeric_row(r);
   std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
+
+/// The google-benchmark-shaped JSON rows that tools/bench_merge.py
+/// merges into BENCH_simcore and gates. Rows and their fields keep
+/// insertion order; `write()` puts them in <bench>.json in the export
+/// directory and does nothing when it is unset:
+///
+///   bench::Report report("ext_fct_workloads");
+///   report.row("fct/dumbbell/websearch/dctcp")
+///       .add("p99_fct_s", r.fct_p99)
+///       .add("flows", r.flows_completed);
+///   report.write();
+class Report {
+ public:
+  explicit Report(std::string bench) : bench_(std::move(bench)) {}
+
+  /// Starts a row; `add` appends fields to the latest one.
+  Report& row(const std::string& name) {
+    rows_.push_back("{\"name\": \"" + name + "\", \"run_name\": \"" + name +
+                    "\", \"run_type\": \"iteration\", \"iterations\": 1");
+    return *this;
+  }
+
+  /// Doubles print in shortest round-trip form, integers as integers
+  /// (100000, never 1e+05).
+  Report& add(const char* key, double value) {
+    return append(key, dtdctcp::CsvWriter::format_double(value));
+  }
+  template <std::integral T>
+  Report& add(const char* key, T value) {
+    return append(key, std::to_string(value));
+  }
+
+  void write() const {
+    const std::string path = dtdctcp::export_path(bench_ + ".json");
+    if (path.empty()) return;
+    std::ofstream out(path, std::ios::trunc);
+    if (!out.is_open()) {
+      std::fprintf(stderr, "could not open %s for JSON export\n",
+                   path.c_str());
+      return;
+    }
+    out << "{\n  \"context\": {\"executable\": \"" << bench_ << "\"},\n"
+        << "  \"benchmarks\": [";
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      out << (i == 0 ? "\n" : ",\n") << "    " << rows_[i] << "}";
+    }
+    out << "\n  ]\n}\n";
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
+  }
+
+ private:
+  Report& append(const char* key, const std::string& value) {
+    rows_.back() += std::string(", \"") + key + "\": " + value;
+    return *this;
+  }
+
+  std::string bench_;
+  std::vector<std::string> rows_;  ///< one per row, without its closing brace
+};
 
 }  // namespace dtdctcp::bench

@@ -10,21 +10,17 @@
 // (DTDCTCP_JOBS); rows print from the ordered result vector, so stdout
 // is byte-identical for any worker count.
 //
-// Exports:
-//   * DTDCTCP_CSV_DIR    — plot-ready CSV
-//   * DTDCTCP_BUFSZ_JSON — google-benchmark-shaped JSON carrying
-//                          p99_fct_s per cell, merged into
-//                          BENCH_simcore by CI and gated by
-//                          tools/bench_merge.py (>10% p99 FCT fails)
+// Exports (into DTDCTCP_CSV_DIR, when set):
+//   * ext_buffer_sizing.csv  — plot-ready CSV
+//   * ext_buffer_sizing.json — bench::Report rows carrying p99_fct_s per
+//     cell, merged into BENCH_simcore by CI and gated by
+//     tools/bench_merge.py (>10% p99 FCT fails)
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "runner/runner.h"
-#include "util/csv.h"
 #include "util/rng.h"
 #include "workload/fct_workloads.h"
 
@@ -76,34 +72,6 @@ workload::FctWorkloadConfig cell_config(std::size_t job) {
   return cfg;
 }
 
-void maybe_write_bufsz_json(
-    const std::vector<workload::FctWorkloadResult>& results) {
-  const char* path = std::getenv("DTDCTCP_BUFSZ_JSON");
-  if (path == nullptr || *path == '\0') return;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "could not open %s for buffer-sizing JSON\n", path);
-    return;
-  }
-  out << "{\n  \"context\": {\"executable\": \"ext_buffer_sizing\"},\n"
-      << "  \"benchmarks\": [";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    const std::size_t buf = kBufferPkts[i / kSchemes];
-    const std::string name = std::string("bufsz/websearch/") +
-                             kSchemeSpecs[i % kSchemes].label + "/" +
-                             std::to_string(buf);
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << name
-        << "\", \"run_name\": \"" << name
-        << "\", \"run_type\": \"iteration\", \"iterations\": 1"
-        << ", \"p99_fct_s\": " << CsvWriter::format_double(r.fct_p99)
-        << ", \"mean_fct_s\": " << CsvWriter::format_double(r.fct_mean)
-        << ", \"flows\": " << r.flows_completed << "}";
-  }
-  out << "\n  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", path);
-}
-
 }  // namespace
 
 int main() {
@@ -117,21 +85,25 @@ int main() {
   std::vector<workload::FctWorkloadConfig> cfgs(kJobs);
   for (std::size_t job = 0; job < kJobs; ++job) cfgs[job] = cell_config(job);
 
-  runner::RunnerTelemetry tm;
-  const auto results = runner::run_jobs(
-      kJobs,
-      [&](std::size_t job) { return workload::run_fct_workload(cfgs[job]); },
-      bench::runner_options("bufsz"), &tm);
-  bench::report_telemetry("bufsz", tm);
+  const auto results = runner::sweep("bufsz", kJobs, [&](std::size_t job) {
+    return workload::run_fct_workload(cfgs[job]);
+  });
 
   std::printf("%-6s %-11s | %6s %6s | %9s %9s %9s | %5s %5s %8s %10s\n",
               "buf", "scheme", "start", "done", "mean_ms", "p50_ms", "p99_ms",
               "to", "drop", "marks", "pool_peak");
   std::vector<std::vector<double>> csv_rows;
+  bench::Report report("ext_buffer_sizing");
   for (std::size_t i = 0; i < kJobs; ++i) {
     if (i > 0 && i % kSchemes == 0) std::printf("\n");
     const auto& r = results[i];
     const std::size_t buf = kBufferPkts[i / kSchemes];
+    report
+        .row(std::string("bufsz/websearch/") +
+             kSchemeSpecs[i % kSchemes].label + "/" + std::to_string(buf))
+        .add("p99_fct_s", r.fct_p99)
+        .add("mean_fct_s", r.fct_mean)
+        .add("flows", r.flows_completed);
     std::printf(
         "%-6zu %-11s | %6zu %6zu | %9.3f %9.3f %9.3f | %5llu %5llu %8llu "
         "%10llu\n",
@@ -157,7 +129,7 @@ int main() {
       {"buffer_pkts", "scheme", "flows", "mean_ms", "p50_ms", "p99_ms",
        "queue_pkts", "timeouts", "drops", "marks", "pool_peak_bytes"},
       csv_rows);
-  maybe_write_bufsz_json(results);
+  report.write();
 
   bench::expectation(
       "With deep buffers every scheme completes the mix; as the buffer "

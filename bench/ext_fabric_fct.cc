@@ -3,7 +3,7 @@
 //
 //   * balanced vs forced-polarized ECMP (same fabric, same flows — the
 //     p99 FCT gap is the cost of correlated per-tier hashing);
-//   * a mid-run agg-core link failure with recovery (reroute + drained
+//   * a mid-run edge-agg link failure with recovery (reroute + drained
 //     backlog) against the failure-free baseline;
 //   * 2-class strict-priority and WRR ports on every switch egress.
 //
@@ -11,21 +11,17 @@
 // 1-shard parsim run must reproduce the serial digest bit-for-bit and
 // the 2-shard run must be run-to-run identical.
 //
-// Exports:
-//   * DTDCTCP_CSV_DIR     — plot-ready CSV (scenario vs FCT stats)
-//   * DTDCTCP_FABRIC_JSON — google-benchmark-shaped JSON carrying
-//                           p99_fct_s per scenario, merged into
-//                           BENCH_simcore by CI and gated by
-//                           tools/bench_merge.py (>10% rise fails)
+// Exports (into DTDCTCP_CSV_DIR, when set):
+//   * ext_fabric_fct.csv  — plot-ready CSV (scenario vs FCT stats)
+//   * ext_fabric_fct.json — bench::Report rows carrying p99_fct_s per
+//     scenario, merged into BENCH_simcore by CI and gated by
+//     tools/bench_merge.py (>10% rise fails)
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "parsim/fabric.h"
-#include "util/csv.h"
 #include "util/units.h"
 
 using namespace dtdctcp;
@@ -36,30 +32,6 @@ struct Row {
   std::string name;
   parsim::FabricResult r;
 };
-
-void write_json(const std::vector<Row>& rows) {
-  const char* path = std::getenv("DTDCTCP_FABRIC_JSON");
-  if (path == nullptr || *path == '\0') return;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "could not open %s for fabric JSON\n", path);
-    return;
-  }
-  out << "{\n  \"context\": {\"executable\": \"ext_fabric_fct\"},\n"
-      << "  \"benchmarks\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const std::string name = "fabric/fct/" + row.name;
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << name
-        << "\", \"run_name\": \"" << name
-        << "\", \"run_type\": \"iteration\", \"iterations\": 1"
-        << ", \"p99_fct_s\": " << CsvWriter::format_double(row.r.p99_fct)
-        << ", \"flows\": " << row.r.flows
-        << ", \"drops\": " << row.r.drops << "}";
-  }
-  out << "\n  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", path);
-}
 
 }  // namespace
 
@@ -114,8 +86,10 @@ int main() {
   }
   {
     parsim::FabricConfig fc = base;
-    // First agg-core link (index 16 in a k=4 fabric) down mid-run,
-    // recovered later: reroute cost + drained-backlog retransmissions.
+    // Link 16 down mid-run, recovered later: reroute cost +
+    // drained-backlog retransmissions. Links are numbered pod by pod
+    // (r*r edge-agg, then r*r agg-core), so in a k=4 fabric this is
+    // pod 2's first edge-agg link, p2_edge0 <-> p2_agg0.
     // 300us lands inside the transfer at every bench scale >= 0.2.
     fc.link_events.push_back({300e-6, 16, false});
     fc.link_events.push_back({1300e-6, 16, true});
@@ -141,6 +115,7 @@ int main() {
               "down_drops");
   bool ok = true;
   std::vector<std::vector<double>> csv_rows;
+  bench::Report report("ext_fabric_fct");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const parsim::FabricResult& r = rows[i].r;
     const double mean_fct =
@@ -157,6 +132,10 @@ int main() {
                         mean_fct, r.p99_fct, r.max_fct,
                         static_cast<double>(r.drops),
                         static_cast<double>(r.link_down_drops)});
+    report.row("fabric/fct/" + rows[i].name)
+        .add("p99_fct_s", r.p99_fct)
+        .add("flows", r.flows)
+        .add("drops", r.drops);
   }
 
   bench::section("deltas");
@@ -197,7 +176,7 @@ int main() {
                          {"scenario", "flows", "mean_fct_s", "p99_fct_s",
                           "max_fct_s", "drops", "link_down_drops"},
                          csv_rows);
-  write_json(rows);
+  report.write();
 
   bench::expectation(
       "polarized ECMP inflates p99 FCT well above the balanced fabric "

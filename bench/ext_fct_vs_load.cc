@@ -79,14 +79,10 @@ int main() {
               "(ms)", "(ms)", "(ms)", "", "(ms)", "(ms)", "(ms)", "");
   const std::vector<double> loads = {0.2, 0.4, 0.6, 0.8};
   // One job per (load, marking): even index DCTCP, odd DT-DCTCP.
-  runner::RunnerTelemetry tm;
-  const auto results = runner::run_jobs(
-      loads.size() * 2,
-      [&](std::size_t job) {
+  const auto results =
+      runner::sweep("fct", loads.size() * 2, [&](std::size_t job) {
         return run_load(loads[job / 2], /*dt=*/job % 2 == 1);
-      },
-      bench::runner_options("fct"), &tm);
-  bench::report_telemetry("fct", tm);
+      });
 
   for (std::size_t i = 0; i < loads.size(); ++i) {
     const auto& dc = results[2 * i];

@@ -8,21 +8,18 @@
 // stdout is byte-identical for any worker count (pinned by
 // tests/fct_workloads_test.cc, which shares workload::format_fct_row).
 //
-// Exports:
-//   * DTDCTCP_CSV_DIR     — plot-ready CSV plus one
-//                           <run>.metrics.{json,csv} registry dump per cell
-//   * DTDCTCP_FCT_JSON    — google-benchmark-shaped JSON carrying
-//                           p99_fct_s / mean_fct_s counters per cell,
-//                           merged into BENCH_simcore by CI and gated by
-//                           tools/bench_merge.py (>10% p99 FCT fails)
+// Exports (into DTDCTCP_CSV_DIR, when set):
+//   * ext_fct_workloads.csv — plot-ready CSV
+//   * one <run>.metrics.{json,csv} registry dump per cell
+//   * ext_fct_workloads.json — bench::Report rows carrying p99_fct_s /
+//     mean_fct_s per cell, merged into BENCH_simcore by CI and gated by
+//     tools/bench_merge.py (>10% p99 FCT fails)
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "runner/runner.h"
-#include "util/csv.h"
 #include "util/rng.h"
 #include "workload/fct_workloads.h"
 
@@ -53,38 +50,6 @@ workload::FctWorkloadConfig cell_config(std::size_t job) {
   return cfg;
 }
 
-/// google-benchmark-shaped JSON so tools/bench_merge.py can merge and
-/// compare these entries alongside the micro benches. Counter names
-/// carry units: p99_fct_s is gated as lower-is-better.
-void maybe_write_fct_json(
-    const std::vector<workload::FctWorkloadConfig>& cfgs,
-    const std::vector<workload::FctWorkloadResult>& results) {
-  const char* path = std::getenv("DTDCTCP_FCT_JSON");
-  if (path == nullptr || *path == '\0') return;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "could not open %s for FCT JSON export\n", path);
-    return;
-  }
-  out << "{\n  \"context\": {\"executable\": \"ext_fct_workloads\"},\n"
-      << "  \"benchmarks\": [";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& cfg = cfgs[i];
-    const auto& r = results[i];
-    const std::string name = std::string("fct/dumbbell/") +
-                             workload::fct_workload_name(cfg.kind) + "/" +
-                             workload::fct_scheme_name(cfg.scheme);
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << name
-        << "\", \"run_name\": \"" << name
-        << "\", \"run_type\": \"iteration\", \"iterations\": 1"
-        << ", \"p99_fct_s\": " << CsvWriter::format_double(r.fct_p99)
-        << ", \"mean_fct_s\": " << CsvWriter::format_double(r.fct_mean)
-        << ", \"flows\": " << r.flows_completed << "}";
-  }
-  out << "\n  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", path);
-}
-
 }  // namespace
 
 int main() {
@@ -98,18 +63,23 @@ int main() {
   std::vector<workload::FctWorkloadConfig> cfgs(kJobs);
   for (std::size_t job = 0; job < kJobs; ++job) cfgs[job] = cell_config(job);
 
-  runner::RunnerTelemetry tm;
-  const auto results = runner::run_jobs(
-      kJobs,
-      [&](std::size_t job) { return workload::run_fct_workload(cfgs[job]); },
-      bench::runner_options("fctwl"), &tm);
-  bench::report_telemetry("fctwl", tm);
+  const auto results = runner::sweep("fctwl", kJobs, [&](std::size_t job) {
+    return workload::run_fct_workload(cfgs[job]);
+  });
 
   std::printf("%s\n", workload::fct_row_header().c_str());
   std::vector<std::vector<double>> csv_rows;
+  bench::Report report("ext_fct_workloads");
   for (std::size_t i = 0; i < kJobs; ++i) {
     if (i > 0 && i % 3 == 0) std::printf("\n");
     std::printf("%s\n", workload::format_fct_row(cfgs[i], results[i]).c_str());
+    report
+        .row(std::string("fct/dumbbell/") +
+             workload::fct_workload_name(cfgs[i].kind) + "/" +
+             workload::fct_scheme_name(cfgs[i].scheme))
+        .add("p99_fct_s", results[i].fct_p99)
+        .add("mean_fct_s", results[i].fct_mean)
+        .add("flows", results[i].flows_completed);
     csv_rows.push_back({static_cast<double>(i / 3),
                         static_cast<double>(i % 3),
                         static_cast<double>(results[i].flows_completed),
@@ -133,7 +103,7 @@ int main() {
        "small_p99_ms", "large_mean_ms", "queue_pkts", "timeouts", "drops",
        "marks"},
       csv_rows);
-  maybe_write_fct_json(cfgs, results);
+  report.write();
 
   bench::expectation(
       "Median and p99 FCT stay in the low milliseconds for the short-flow "

@@ -13,23 +13,21 @@
 // overlap points. Cells run serially (never through the parallel
 // runner) so wall-clock comparisons are honest.
 //
-// Exports:
-//   * DTDCTCP_CSV_DIR      — plot-ready CSV
-//   * DTDCTCP_HYBRID_JSON  — google-benchmark-shaped JSON
-//                            (p99_fct_s gated by tools/bench_merge.py)
-//   * DTDCTCP_HYBRID_GATE=1 — hard-fails the bench unless the hybrid
-//                            path is >= 10x faster than packet-only at
-//                            10^4 background flows (the PR's
-//                            acceptance floor; CI sets it).
+// Exports (into DTDCTCP_CSV_DIR, when set):
+//   * ext_hybrid_scale.csv  — plot-ready CSV
+//   * ext_hybrid_scale.json — bench::Report rows (p99_fct_s gated by
+//     tools/bench_merge.py)
+//
+// DTDCTCP_HYBRID_GATE=1 hard-fails the bench unless the hybrid path is
+// >= 10x faster than packet-only at 10^4 background flows (the
+// acceptance floor; CI sets it).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "util/csv.h"
 #include "workload/fct_workloads.h"
 
 using namespace dtdctcp;
@@ -70,33 +68,6 @@ const char* mode_name(workload::FctBackgroundMode m) {
   return m == workload::FctBackgroundMode::kFluid ? "fluid" : "packet";
 }
 
-void maybe_write_json(const std::vector<Cell>& cells) {
-  const char* path = std::getenv("DTDCTCP_HYBRID_JSON");
-  if (path == nullptr || *path == '\0') return;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "could not open %s for hybrid JSON export\n", path);
-    return;
-  }
-  out << "{\n  \"context\": {\"executable\": \"ext_hybrid_scale\"},\n"
-      << "  \"benchmarks\": [";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    const std::string name = std::string("hybrid/scale/") +
-                             mode_name(c.mode) + "/" +
-                             std::to_string(c.flows);
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << name
-        << "\", \"run_name\": \"" << name
-        << "\", \"run_type\": \"iteration\", \"iterations\": 1"
-        << ", \"p99_fct_s\": " << CsvWriter::format_double(c.result.fct_p99)
-        << ", \"mean_fct_s\": " << CsvWriter::format_double(c.result.fct_mean)
-        << ", \"wall_seconds\": " << CsvWriter::format_double(c.wall_s)
-        << ", \"flows\": " << c.result.flows_completed << "}";
-  }
-  out << "\n  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", path);
-}
-
 }  // namespace
 
 int main() {
@@ -132,6 +103,7 @@ int main() {
               "bg_N", "wall_s", "start", "done", "p50_ms", "p99_ms",
               "q_pkts", "bg_share");
   std::vector<std::vector<double>> csv_rows;
+  bench::Report report("ext_hybrid_scale");
   for (const Cell& c : cells) {
     std::printf("%-7s %7zu | %8.3f | %6zu %6zu | %9.3f %9.3f | %8.1f %8.3f\n",
                 mode_name(c.mode), c.flows, c.wall_s, c.result.flows_started,
@@ -143,6 +115,13 @@ int main() {
          static_cast<double>(c.flows), c.wall_s, c.result.fct_p50 * 1e3,
          c.result.fct_p99 * 1e3, c.result.queue_mean_pkts,
          c.result.bg_share_mean});
+    report
+        .row(std::string("hybrid/scale/") + mode_name(c.mode) + "/" +
+             std::to_string(c.flows))
+        .add("p99_fct_s", c.result.fct_p99)
+        .add("mean_fct_s", c.result.fct_mean)
+        .add("wall_seconds", c.wall_s)
+        .add("flows", c.result.flows_completed);
   }
 
   // Overlap analysis: speedup and foreground-p99 agreement per N where
@@ -172,7 +151,7 @@ int main() {
                          {"fluid", "bg_flows", "wall_s", "p50_ms", "p99_ms",
                           "queue_pkts", "bg_share"},
                          csv_rows);
-  maybe_write_json(cells);
+  report.write();
 
   bench::expectation(
       "Fluid-aggregate wall-clock stays near-flat as background flows sweep "

@@ -6,25 +6,21 @@
 // shards = 1 must reproduce the serial digest bit-for-bit, and every
 // sharded run must close its cross-shard conservation ledger.
 //
-// Exports:
-//   * DTDCTCP_CSV_DIR     — plot-ready CSV (shards vs events/s)
-//   * DTDCTCP_PARSIM_JSON — google-benchmark-shaped JSON carrying
-//                           events/s per shard count, merged into
-//                           BENCH_simcore by CI and gated by
-//                           tools/bench_merge.py (>10% drop fails)
+// Exports (into DTDCTCP_CSV_DIR, when set):
+//   * ext_parsim_fabric.csv  — plot-ready CSV (shards vs events/s)
+//   * ext_parsim_fabric.json — bench::Report rows carrying events/s per
+//     shard count, merged into BENCH_simcore by CI and gated by
+//     tools/bench_merge.py (>10% drop fails)
 //
 // Speedup > 1 requires real cores: on a single-CPU host the sharded
 // rows measure protocol overhead, not parallelism.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "parsim/fabric.h"
-#include "util/csv.h"
 
 using namespace dtdctcp;
 
@@ -34,36 +30,6 @@ struct Row {
   std::size_t shards = 0;
   parsim::FabricResult r;
 };
-
-void write_json(const std::vector<Row>& rows) {
-  const char* path = std::getenv("DTDCTCP_PARSIM_JSON");
-  if (path == nullptr || *path == '\0') return;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "could not open %s for parsim JSON\n", path);
-    return;
-  }
-  out << "{\n  \"context\": {\"executable\": \"ext_parsim_fabric\"},\n"
-      << "  \"benchmarks\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const std::string name =
-        "parsim/stress/shards_" + std::to_string(row.shards);
-    const double evps = row.r.wall_seconds > 0.0
-                            ? static_cast<double>(row.r.events) /
-                                  row.r.wall_seconds
-                            : 0.0;
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << name
-        << "\", \"run_name\": \"" << name
-        << "\", \"run_type\": \"iteration\", \"iterations\": 1"
-        << ", \"events/s\": " << CsvWriter::format_double(evps)
-        << ", \"events\": " << row.r.events
-        << ", \"wall_s\": " << CsvWriter::format_double(row.r.wall_seconds)
-        << "}";
-  }
-  out << "\n  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", path);
-}
 
 }  // namespace
 
@@ -103,6 +69,7 @@ int main() {
               "ledger");
   bool ok = true;
   std::vector<std::vector<double>> csv_rows;
+  bench::Report report("ext_parsim_fabric");
   for (const Row& row : rows) {
     const parsim::FabricResult& r = row.r;
     const double evps =
@@ -125,6 +92,10 @@ int main() {
     csv_rows.push_back({static_cast<double>(row.shards),
                         static_cast<double>(r.events), r.wall_seconds, evps,
                         speedup});
+    report.row("parsim/stress/shards_" + std::to_string(row.shards))
+        .add("events/s", evps)
+        .add("events", r.events)
+        .add("wall_s", r.wall_seconds);
   }
 
   bench::section("determinism pins");
@@ -151,7 +122,7 @@ int main() {
                          {"shards", "events", "wall_s", "events_per_s",
                           "speedup"},
                          csv_rows);
-  write_json(rows);
+  report.write();
 
   bench::expectation(
       "events/s roughly flat from serial to 1 shard (protocol overhead "

@@ -14,17 +14,14 @@
 // Any violation fails the bench (non-zero exit) — this is the CI gate
 // the atlas ships under.
 //
-// Exports:
-//   * DTDCTCP_CSV_DIR    — atlas CSV + gnuplot script
-//   * DTDCTCP_ATLAS_JSON — google-benchmark-shaped JSON carrying
-//                          critical_n per cell, merged into
-//                          BENCH_simcore by CI and gated exactly by
-//                          tools/bench_merge.py (any onset shift fails)
+// Exports (into DTDCTCP_CSV_DIR, when set):
+//   * ext_stability_atlas.{csv,gp} — atlas CSV + gnuplot script
+//   * ext_stability_atlas.json     — bench::Report rows carrying
+//     critical_n per cell, merged into BENCH_simcore by CI and gated
+//     exactly by tools/bench_merge.py (any onset shift fails)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -69,50 +66,32 @@ analysis::AtlasConfig default_grid() {
 }
 
 void maybe_write_atlas_artifacts(const analysis::Atlas& atlas) {
-  const char* dir = std::getenv("DTDCTCP_CSV_DIR");
-  if (dir == nullptr || *dir == '\0') return;
-  const std::string csv_path = std::string(dir) + "/ext_stability_atlas.csv";
+  const std::string csv_path = export_path("ext_stability_atlas.csv");
+  if (csv_path.empty()) return;
   auto csv = open_csv(csv_path);
   if (csv.is_open()) {
     analysis::write_atlas_csv(atlas, csv);
     std::fprintf(stderr, "wrote %s\n", csv_path.c_str());
   }
-  const std::string gp_path = std::string(dir) + "/ext_stability_atlas.gp";
+  const std::string gp_path = export_path("ext_stability_atlas.gp");
   auto gp = open_csv(gp_path);
   if (gp.is_open()) {
     analysis::write_atlas_gnuplot(atlas, "ext_stability_atlas.csv", gp);
     std::fprintf(stderr, "wrote %s\n", gp_path.c_str());
   }
-}
 
-void maybe_write_atlas_json(const analysis::Atlas& atlas) {
-  const char* path = std::getenv("DTDCTCP_ATLAS_JSON");
-  if (path == nullptr || *path == '\0') return;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "could not open %s for atlas JSON\n", path);
-    return;
-  }
-  out << "{\n  \"context\": {\"executable\": \"ext_stability_atlas\"},\n"
-      << "  \"benchmarks\": [";
-  for (std::size_t i = 0; i < atlas.cells.size(); ++i) {
-    const auto& c = atlas.cells[i];
+  bench::Report report("ext_stability_atlas");
+  for (const auto& c : atlas.cells) {
     char rtt[32];
     std::snprintf(rtt, sizeof(rtt), "%gus", c.rtt * 1e6);
-    const std::string name = std::string("atlas/") +
-                             c.marking.label() + "/" +
-                             analysis::cc_label(c.cc) + "/" + rtt;
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << name
-        << "\", \"run_name\": \"" << name
-        << "\", \"run_type\": \"iteration\", \"iterations\": 1"
-        << ", \"critical_n\": " << c.onset.critical_n
-        << ", \"amplitude_pkts\": "
-        << CsvWriter::format_double(c.amplitude_pkts)
-        << ", \"frequency_hz\": "
-        << CsvWriter::format_double(c.frequency_hz) << "}";
+    report
+        .row("atlas/" + c.marking.label() + "/" + analysis::cc_label(c.cc) +
+             "/" + rtt)
+        .add("critical_n", c.onset.critical_n)
+        .add("amplitude_pkts", c.amplitude_pkts)
+        .add("frequency_hz", c.frequency_hz);
   }
-  out << "\n  ]\n}\n";
-  std::fprintf(stderr, "wrote %s\n", path);
+  report.write();
 }
 
 // Cells re-run at packet level. Flow counts are the current onsets
@@ -144,8 +123,8 @@ int main() {
 
   const analysis::AtlasConfig cfg = default_grid();
   const auto atlas =
-      analysis::run_stability_atlas(cfg, bench::runner_options("atlas"));
-  bench::report_telemetry("atlas", atlas.telemetry);
+      analysis::run_stability_atlas(cfg, runner::stderr_progress("atlas"));
+  runner::print_telemetry("atlas", atlas.telemetry);
 
   std::printf("%-10s %-9s %7s | %5s %5s | %9s %9s %4s %8s\n", "marking",
               "cc", "rtt_us", "N*", "N_ok", "amp_pkts", "freq_hz", "clip",
@@ -162,7 +141,6 @@ int main() {
         c.frequency_hz, c.clipped ? "yes" : "no", c.gain_margin_db);
   }
   maybe_write_atlas_artifacts(atlas);
-  maybe_write_atlas_json(atlas);
 
   bench::section("packet-level cross-validation (factor-2 envelope)");
   const std::size_t cells = sizeof(kValidation) / sizeof(kValidation[0]);
@@ -192,12 +170,9 @@ int main() {
         analysis::predict_atlas_cell(cfg, cell, static_cast<int>(p.flows));
   }
 
-  runner::RunnerTelemetry vtm;
-  const auto observed = runner::run_jobs(
-      cells,
-      [&](std::size_t i) { return core::run_oscillation_probe(probes[i]); },
-      bench::runner_options("validate"), &vtm);
-  bench::report_telemetry("validate", vtm);
+  const auto observed = runner::sweep("validate", cells, [&](std::size_t i) {
+    return core::run_oscillation_probe(probes[i]);
+  });
 
   int failures = 0;
   std::printf("%-22s %-10s %5s | %9s %9s | %9s %9s | %s\n", "cell",

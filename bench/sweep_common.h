@@ -10,6 +10,7 @@
 // EXPERIMENTS.md).
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -59,31 +60,25 @@ inline std::vector<SweepPoint> run_flow_sweep() {
   std::vector<std::size_t> flow_counts;
   for (std::size_t n = 10; n <= 100; n += 5) flow_counts.push_back(n);
 
-  std::vector<SweepPoint> points(flow_counts.size());
-  for (std::size_t i = 0; i < flow_counts.size(); ++i) {
-    points[i].flows = flow_counts[i];
-  }
   constexpr std::size_t kVariants = 3;  // dc, dt loop, dt half-band
-  runner::RunnerTelemetry tm;
-  runner::run_indexed(
-      flow_counts.size() * kVariants,
-      [&](std::size_t job) {
-        const std::size_t i = job / kVariants;
+  auto results = runner::sweep(
+      "sweep", flow_counts.size() * kVariants, [&](std::size_t job) {
         const std::size_t variant = job % kVariants;
-        auto cfg = sweep_config(flow_counts[i], /*dt=*/variant != 0);
+        auto cfg = sweep_config(flow_counts[job / kVariants],
+                                /*dt=*/variant != 0);
         if (variant == 2) {
           cfg.marking.variant = queue::HysteresisVariant::kHalfBand;
         }
         cfg.seed = derive_seed(kSweepSeed, job);
-        const auto result = core::run_dumbbell(cfg);
-        switch (variant) {
-          case 0: points[i].dc = result; break;
-          case 1: points[i].dt = result; break;
-          default: points[i].dt_band = result; break;
-        }
-      },
-      runner_options("sweep"), &tm);
-  report_telemetry("sweep", tm);
+        return core::run_dumbbell(cfg);
+      });
+
+  std::vector<SweepPoint> points(flow_counts.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i] = {flow_counts[i], std::move(results[kVariants * i]),
+                 std::move(results[kVariants * i + 1]),
+                 std::move(results[kVariants * i + 2])};
+  }
   return points;
 }
 

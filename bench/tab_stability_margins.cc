@@ -69,15 +69,13 @@ int main() {
   const std::vector<double> rtts = {4e-4, 6e-4, 8e-4, 1e-3,
                                     1.5e-3, 2e-3, 3e-3};
   // One job per (RTT, protocol): even index DCTCP, odd DT-DCTCP.
-  const auto crit = runner::run_jobs(
-      rtts.size() * 2,
-      [&](std::size_t job) {
+  const auto crit =
+      runner::sweep("critN", rtts.size() * 2, [&](std::size_t job) {
         const auto spec = job % 2 == 0
                               ? queue::MarkingRule::dctcp(40.0)
                               : queue::MarkingRule::dt_dctcp(30.0, 50.0);
         return analysis::critical_flows(plant(rtts[job / 2]), spec, 5, 400);
-      },
-      bench::runner_options("critN"));
+      });
   std::printf("%10s %12s %12s %10s\n", "RTT", "DC_critN", "DT_critN",
               "DT-DC");
   for (std::size_t i = 0; i < rtts.size(); ++i) {
@@ -112,14 +110,10 @@ int main() {
 
   bench::section("DF prediction vs fluid-model simulation (RTT = 1 ms)");
   const std::vector<int> check_flows = {60, 80, 100};
-  runner::RunnerTelemetry tm;
-  const auto checks = runner::run_jobs(
-      check_flows.size() * 2,
-      [&](std::size_t job) {
+  const auto checks =
+      runner::sweep("fluid", check_flows.size() * 2, [&](std::size_t job) {
         return run_fluid_check(check_flows[job / 2], /*dt=*/job % 2 == 1);
-      },
-      bench::runner_options("fluid"), &tm);
-  bench::report_telemetry("fluid", tm);
+      });
   std::printf("%5s %6s %14s %14s %12s\n", "N", "proto", "DF_amp_pkts",
               "fluid_amp", "fluid_mean");
   for (std::size_t i = 0; i < checks.size(); ++i) {

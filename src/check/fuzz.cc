@@ -490,7 +490,9 @@ FuzzResult run_large_scenario(std::uint64_t seed) {
   // Fat-tree draws appended after the leaf-spine draws (same stream):
   // about half the seeds run an oversubscribed k=4 fat-tree instead,
   // with balanced ECMP, optional 2-class priorities, and an optional
-  // mid-run agg-core link failure (the sharded reroute path).
+  // mid-run link failure (the sharded reroute path). The failed link is
+  // any fabric link, edge-agg or agg-core: the draw is taken modulo the
+  // link count.
   if (rng.bernoulli(0.5)) {
     fc.topology = parsim::FabricTopology::kFatTree;
     fc.fat_tree.k = 4;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -110,6 +111,23 @@ void run_indexed(std::size_t count,
     telemetry->job_seconds_max = st.job_seconds_max;
   }
   if (st.first_error) std::rethrow_exception(st.first_error);
+}
+
+RunnerOptions stderr_progress(const char* tag) {
+  RunnerOptions opts;
+  opts.progress = [tag](const Progress& p) {
+    std::fprintf(stderr, "  [%s] %zu/%zu jobs done (last %.2fs)\n", tag,
+                 p.completed, p.total, p.job_seconds);
+  };
+  return opts;
+}
+
+void print_telemetry(const char* tag, const RunnerTelemetry& tm) {
+  std::fprintf(stderr,
+               "  [%s] %zu jobs on %zu workers: %.2fs wall, %.2fs of "
+               "simulation (%.2fx speedup, slowest job %.2fs)\n",
+               tag, tm.jobs, tm.workers, tm.wall_seconds,
+               tm.job_seconds_total, tm.speedup(), tm.job_seconds_max);
 }
 
 }  // namespace dtdctcp::runner

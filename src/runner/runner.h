@@ -99,4 +99,27 @@ auto run_jobs(std::size_t count, Fn&& fn, const RunnerOptions& opts = {},
   return results;
 }
 
+/// Options carrying the standard progress line on stderr:
+///   [tag] 12/57 jobs done (last 0.82s)
+/// Progress order follows completion, so it may interleave differently
+/// between runs; output printed from the ordered results stays
+/// byte-identical for any worker count.
+RunnerOptions stderr_progress(const char* tag);
+
+/// Prints the telemetry summary on stderr: wall clock, aggregate job
+/// time, parallel speedup and the slowest job.
+void print_telemetry(const char* tag, const RunnerTelemetry& tm);
+
+/// `run_jobs` with the standard stderr progress line and telemetry
+/// summary under `tag`: the one call every sweep-shaped bench and the
+/// CLI's `sweep` make.
+template <typename Fn>
+auto sweep(const char* tag, std::size_t count, Fn&& fn) {
+  RunnerTelemetry tm;
+  auto results = run_jobs(count, std::forward<Fn>(fn), stderr_progress(tag),
+                          &tm);
+  print_telemetry(tag, tm);
+  return results;
+}
+
 }  // namespace dtdctcp::runner

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "util/csv.h"
+#include "util/env.h"
 
 namespace dtdctcp::stats {
 
@@ -248,14 +249,13 @@ class MetricsRegistry {
     }
   }
 
-  /// DTDCTCP_CSV_DIR convention (matching bench::maybe_write_csv):
-  /// writes <dir>/<name>.metrics.json and <dir>/<name>.metrics.csv when
-  /// the variable is set; silently does nothing otherwise. Returns true
-  /// when both files were written.
+  /// Writes <dir>/<name>.metrics.json and <dir>/<name>.metrics.csv into
+  /// the export directory (dtdctcp::export_path, DTDCTCP_CSV_DIR) when
+  /// it is set; silently does nothing otherwise. Returns true when both
+  /// files were written.
   bool maybe_export(const std::string& name) const {
-    const char* dir = std::getenv("DTDCTCP_CSV_DIR");
-    if (dir == nullptr || *dir == '\0') return false;
-    const std::string base = std::string(dir) + "/" + name + ".metrics";
+    const std::string base = export_path(name + ".metrics");
+    if (base.empty()) return false;
     std::ofstream json(base + ".json", std::ios::trunc);
     if (!json.is_open()) return false;
     write_json(json);

@@ -29,4 +29,10 @@ double bench_scale() {
   return env_double("DTDCTCP_BENCH_SCALE", 1.0, 0.01, 100.0);
 }
 
+std::string export_path(const std::string& file) {
+  const char* dir = std::getenv("DTDCTCP_CSV_DIR");
+  if (dir == nullptr || *dir == '\0') return {};
+  return std::string(dir) + "/" + file;
+}
+
 }  // namespace dtdctcp

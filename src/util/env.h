@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 namespace dtdctcp {
 
@@ -22,5 +23,10 @@ std::int64_t env_int(const char* name, std::int64_t fallback, std::int64_t lo,
 /// Global duration/repetition multiplier for benches (DTDCTCP_BENCH_SCALE,
 /// default 1.0, clamped to [0.01, 100]).
 double bench_scale();
+
+/// The one export directory: "<DTDCTCP_CSV_DIR>/<file>", or "" when the
+/// variable is unset or empty (callers then skip the export). Plot
+/// CSVs, metrics dumps and bench JSON reports all land there.
+std::string export_path(const std::string& file);
 
 }  // namespace dtdctcp

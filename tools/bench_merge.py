@@ -5,9 +5,10 @@ Two subcommands:
 
   merge OUT IN [IN ...]
       Concatenates the "benchmarks" arrays of the inputs into OUT,
-      keeping the first input's "context". Used by CI to fold
-      micro_simcore, micro_dataplane, and ext_fct_workloads results
-      into the single BENCH_simcore.json artifact.
+      keeping the first input's "context". CI folds the four micro_*
+      google-benchmark outputs and the six ext benches' reports
+      (bench::Report, <bench>.json in DTDCTCP_CSV_DIR) into the single
+      BENCH_simcore.json artifact.
 
   compare BASELINE CURRENT [--max-regression FRAC]
       Compares every benchmark carrying a gated metric that appears in

@@ -214,26 +214,13 @@ int run_sweep_cmd(const Args& args, const queue::MarkingRule& marking) {
   for (std::size_t n = from; n <= to; n += step) flow_counts.push_back(n);
 
   const auto base = dumbbell_config(args, marking);
-  runner::RunnerTelemetry tm;
-  runner::RunnerOptions opts;
-  opts.progress = [](const runner::Progress& p) {
-    std::fprintf(stderr, "  [sweep] %zu/%zu jobs done (last %.2fs)\n",
-                 p.completed, p.total, p.job_seconds);
-  };
-  const auto results = runner::run_jobs(
-      flow_counts.size(),
-      [&](std::size_t i) {
+  const auto results =
+      runner::sweep("sweep", flow_counts.size(), [&](std::size_t i) {
         auto cfg = base;
         cfg.flows = flow_counts[i];
         cfg.seed = derive_seed(base.seed, i);
         return core::run_dumbbell(cfg);
-      },
-      opts, &tm);
-  std::fprintf(stderr,
-               "  [sweep] %zu jobs on %zu workers: %.2fs wall, %.2fs of "
-               "simulation (%.2fx speedup)\n",
-               tm.jobs, tm.workers, tm.wall_seconds, tm.job_seconds_total,
-               tm.speedup());
+      });
 
   std::printf("%6s %10s %10s %10s %8s %10s %8s %8s\n", "flows",
               "queue_mean", "queue_sd", "alpha", "util", "marks", "drops",
@@ -397,17 +384,9 @@ int run_atlas_cmd(const Args& args) {
     return usage();
   }
 
-  runner::RunnerOptions opts;
-  opts.progress = [](const runner::Progress& p) {
-    std::fprintf(stderr, "  [atlas] %zu/%zu cells done (last %.2fs)\n",
-                 p.completed, p.total, p.job_seconds);
-  };
-  const auto atlas = analysis::run_stability_atlas(cfg, opts);
-  std::fprintf(stderr,
-               "  [atlas] %zu cells on %zu workers: %.2fs wall "
-               "(%.2fx speedup)\n",
-               atlas.telemetry.jobs, atlas.telemetry.workers,
-               atlas.telemetry.wall_seconds, atlas.telemetry.speedup());
+  const auto atlas =
+      analysis::run_stability_atlas(cfg, runner::stderr_progress("atlas"));
+  runner::print_telemetry("atlas", atlas.telemetry);
 
   std::printf("%-12s %-9s %8s %6s %6s | %5s %5s | %9s %9s %4s %8s\n",
               "marking", "cc", "rtt_us", "gbps", "buf", "N*", "N_ok",
