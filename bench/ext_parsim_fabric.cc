@@ -8,9 +8,9 @@
 //
 // Exports (into DTDCTCP_CSV_DIR, when set):
 //   * ext_parsim_fabric.csv  — plot-ready CSV (shards vs events/s)
-//   * ext_parsim_fabric.json — bench::Report rows carrying events/s per
-//     shard count, merged into BENCH_simcore by CI and gated by
-//     tools/bench_merge.py (>10% drop fails)
+//   * ext_parsim_fabric.json — bench::Report rows carrying events/s and
+//     the kernel event count per shard count, merged into BENCH_simcore
+//     by CI; tools/bench_merge.py gates the event count exactly
 //
 // Speedup > 1 requires real cores: on a single-CPU host the sharded
 // rows measure protocol overhead, not parallelism.

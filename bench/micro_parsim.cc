@@ -2,8 +2,8 @@
 // leaf-spine permutation scenario run serial (shards = 0), through the
 // single-shard window protocol (shards = 1, measuring pure protocol
 // overhead — it must be within noise of serial), and sharded across
-// worker threads. events/s and pkts/s counters feed the CI gate via
-// tools/bench_merge.py.
+// worker threads. The pkts/s counter and the exact per-run events
+// count feed the CI gate via tools/bench_merge.py.
 #include <benchmark/benchmark.h>
 
 #include "parsim/fabric.h"
@@ -39,6 +39,9 @@ void BM_FabricSharded(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
   state.counters["pkts/s"] = benchmark::Counter(
       static_cast<double>(packets), benchmark::Counter::kIsRate);
+  // Kernel events per run: deterministic, so gated exactly.
+  state.counters["events"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_FabricSharded)
     ->Arg(0)   // serial reference

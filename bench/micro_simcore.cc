@@ -142,6 +142,9 @@ void BM_DumbbellEndToEnd(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
   state.counters["pkts/s"] = benchmark::Counter(
       static_cast<double>(packets), benchmark::Counter::kIsRate);
+  // Kernel events per run: deterministic, so gated exactly.
+  state.counters["events"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_DumbbellEndToEnd)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
 

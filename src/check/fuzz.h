@@ -99,7 +99,7 @@ struct FuzzResult {
   bool drained = false;          ///< event queue empty at the end
   bool completed = false;        ///< every finite flow completed
   bool fault_fired = false;      ///< the injected fault was committed
-  std::uint64_t events = 0;      ///< simulator events processed
+  std::uint64_t events = 0;      ///< kernel events processed
   std::uint64_t violation_count = 0;
   std::vector<Violation> violations;
   ConservationTotals totals;

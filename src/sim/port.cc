@@ -10,12 +10,17 @@ namespace dtdctcp::sim {
 
 void Port::send(Packet pkt) {
   assert(peer_ != nullptr && "port not wired to a peer");
-  if (!busy_ && disc_->packets() == 0) {
+  settle_release();
+  if (release_ == Release::kNone && disc_->packets() == 0) {
     disc_->on_bypass(pkt, sim_->now());
     begin_transmission(std::move(pkt));
     return;
   }
-  if (disc_->enqueue(pkt, sim_->now()) == EnqueueResult::kEnqueued && !busy_) {
+  if (disc_->enqueue(pkt, sim_->now()) != EnqueueResult::kEnqueued) return;
+  if (release_ == Release::kDeferred) {
+    // A packet now waits behind the transmitter: its release must run.
+    schedule_release();
+  } else if (release_ == Release::kNone) {
     // Transmitter idle but queue was non-empty (can happen transiently
     // when a drop callback re-enters send); drain in FIFO order.
     Packet head;
@@ -26,7 +31,24 @@ void Port::send(Packet pkt) {
   }
 }
 
+void Port::settle_release() {
+  if (release_ != Release::kDeferred ||
+      !sim_->passed(busy_until_, release_seq_)) {
+    return;
+  }
+  release_ = Release::kNone;
+  // Nothing touched the discipline since the transmission began on an
+  // empty queue, so this is the release's own dequeue, at its own time:
+  // it finds nothing, fires no hook and counts nothing, but leaves the
+  // discipline's state as the release would have.
+  Packet none;
+  const bool got = disc_->dequeue(none, busy_until_);
+  assert(!got);
+  (void)got;
+}
+
 std::size_t Port::drop_queued(SimTime now) {
+  settle_release();
   std::size_t n = 0;
   Packet pkt;
   while (disc_->dequeue(pkt, now)) {
@@ -39,7 +61,6 @@ std::size_t Port::drop_queued(SimTime now) {
 }
 
 void Port::begin_transmission(Packet pkt) {
-  busy_ = true;
   if (trace_ != nullptr) trace_->packet_event("tx", pkt, sim_->now());
   // With a fluid background sharing the link, foreground packets only
   // get the residual capacity (exactly rate_bps_ when the gauge is 1.0,
@@ -50,9 +71,10 @@ void Port::begin_transmission(Packet pkt) {
   ++packets_sent_;
   bytes_sent_ += pkt.size_bytes;
   // Arrival at the peer is an independent event so the pipe can hold
-  // multiple packets; transmitter release is a separate event. Both go
-  // through the kernel's typed fast path: no type-erased closure, no
-  // allocation, just the payload placed in a recycled event slot.
+  // multiple packets; transmitter release is a separate, lazy event.
+  // Both go through the kernel's typed fast path: no type-erased
+  // closure, no allocation, just the payload placed in a recycled event
+  // slot (the release rides in the queue entry itself).
   //
   // A cross-shard link hands the arrival to the peer shard's mailbox
   // instead: the arrival timestamp is computed here (same arithmetic as
@@ -65,11 +87,25 @@ void Port::begin_transmission(Packet pkt) {
     DTDCTCP_CHECK_HOOK(packet_exported(this, pkt));
     remote_->push(sim_->now() + tx + prop_delay_, peer_, std::move(pkt));
   }
-  sim_->tx_complete_after(tx, this);
+  // The release takes its seq here, after the arrival, as an eagerly
+  // scheduled release would; busy_until_ is the kernel's own now + dt.
+  busy_until_ = sim_->now() + tx;
+  release_seq_ = sim_->reserve_seq();
+  if (disc_->packets() != 0) {
+    schedule_release();
+  } else {
+    release_ = Release::kDeferred;
+  }
+}
+
+void Port::schedule_release() {
+  sim_->at_reserved(busy_until_, release_seq_,
+                    [this] { on_transmit_complete(); });
+  release_ = Release::kScheduled;
 }
 
 void Port::on_transmit_complete() {
-  busy_ = false;
+  release_ = Release::kNone;
   Packet next;
   if (disc_->dequeue(next, sim_->now())) {
     begin_transmission(std::move(next));

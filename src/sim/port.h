@@ -7,6 +7,17 @@
 // size*8/rate seconds; the packet then propagates for `delay` seconds and
 // is delivered to the peer node. The pipe holds arbitrarily many packets
 // in flight (independent arrival events), like a real wire.
+//
+// The transmitter release is lazy. A transmission records when it ends
+// (`busy_until`) and reserves the kernel seq its release event would
+// take, but queues that event only once a packet waits behind the
+// transmitter; a release that would find the queue empty never runs.
+// Because the reserved seq keeps the release's place in the kernel's
+// (time, seq) order, every other event pops exactly as if each release
+// ran, and a packet arriving at `busy_until` sees the port busy exactly
+// when its event orders before the release. The skipped release's one
+// effect, an empty dequeue (CoDel and WRR change state on it), is
+// replayed at `busy_until` before the port next touches the discipline.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +94,6 @@ class Port {
   const QueueDisc& disc() const { return *disc_; }
   DataRate rate_bps() const { return rate_bps_; }
   SimTime prop_delay() const { return prop_delay_; }
-  bool busy() const { return busy_; }
 
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -98,11 +108,16 @@ class Port {
   }
 
  private:
-  /// The kernel's typed tx-complete event re-enters here.
-  friend class EventClosure;
+  /// Transmitter state. kDeferred: busy until busy_until_ with the
+  /// release seq reserved but no event queued (the queue was empty).
+  enum class Release : std::uint8_t { kNone, kScheduled, kDeferred };
 
   void begin_transmission(Packet pkt);
   void on_transmit_complete();
+  void schedule_release();
+  /// Retires a deferred release the kernel has passed, replaying the
+  /// empty dequeue it would have made at busy_until_.
+  void settle_release();
 
   Simulator* sim_;
   DataRate rate_bps_;
@@ -112,7 +127,9 @@ class Port {
   Node* peer_ = nullptr;
   TraceSink* trace_ = nullptr;
   const double* avail_frac_ = nullptr;
-  bool busy_ = false;
+  Release release_ = Release::kNone;
+  SimTime busy_until_ = 0.0;
+  ReservedSeq release_seq_;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t link_down_drops_ = 0;

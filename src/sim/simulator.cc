@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "sim/node.h"
-#include "sim/port.h"
 
 namespace dtdctcp::sim {
 
@@ -23,10 +22,6 @@ void EventClosure::invoke() {
       break;
     }
   }
-}
-
-void EventClosure::tx_trampoline(void* payload) {
-  (*std::launder(reinterpret_cast<Port**>(payload)))->on_transmit_complete();
 }
 
 Simulator::~Simulator() {
@@ -232,6 +227,7 @@ bool Simulator::cancel(TimerHandle& h) {
 // still executing.
 void Simulator::fire(HeapEntry e) {
   now_ = e.time;
+  frontier_seq_ = e.seq;
   ++processed_;
   if (e.slot == kInlineSlot) {
     e.fn(e.payload);
@@ -279,6 +275,7 @@ void Simulator::run() {
     if (stopped_ || (heap_.empty() && cursor_ == sorted_.size())) break;
     step();
   }
+  end_run();
 }
 
 SimTime Simulator::next_event_time() {
@@ -306,6 +303,7 @@ void Simulator::run_window(SimTime end) {
     }
     step();
   }
+  end_run();
 }
 
 void Simulator::run_until(SimTime t) {
@@ -324,6 +322,7 @@ void Simulator::run_until(SimTime t) {
     step();
   }
   if (!stopped_ && now_ < t) now_ = t;
+  end_run();
 }
 
 }  // namespace dtdctcp::sim

@@ -15,6 +15,15 @@
 // `TimerHandle` and can be cancelled in O(log n) — a cancelled timer is
 // removed from the queue immediately instead of lingering until its
 // fire time.
+//
+// A caller may also take a place in the (time, seq) order before it
+// knows whether the event will be needed: `reserve_seq` hands out the
+// seq the event would get if scheduled now, `passed` says whether an
+// event at (t, reserved seq) would already have run, and an event
+// scheduled later with that seq pops exactly where it would have
+// popped had it been scheduled at reservation time. The port uses this
+// to skip transmitter-release events that would find an empty queue
+// (see port.h).
 #pragma once
 
 #include <cassert>
@@ -33,8 +42,14 @@
 namespace dtdctcp::sim {
 
 class Node;
-class Port;
 class Simulator;
+
+/// A place in the kernel's (time, seq) event order taken out ahead of
+/// scheduling (`Simulator::reserve_seq`). Opaque to its holders, so the
+/// tie-break key can grow (a per-origin key, say) without touching them.
+struct ReservedSeq {
+  std::uint32_t seq = 0;
+};
 
 /// Identifies a pending cancellable timer. A handle is only a claim
 /// ticket: after the timer fires (or is cancelled) the handle goes stale
@@ -54,10 +69,11 @@ struct TimerHandle {
 /// heap — acceptable for setup/teardown closures, never for per-packet
 /// ones (hot call sites static_assert `kFitsInline`).
 ///
-/// The two per-packet events (peer delivery, transmitter release) are
-/// additionally stored as *typed* payloads — a tag plus raw fields — so
-/// the kernel dispatches them with a switch instead of an indirect call
-/// through an erased function pointer.
+/// The per-packet peer delivery is additionally stored as a *typed*
+/// payload — a tag plus raw fields — so the kernel dispatches it with a
+/// switch instead of an indirect call through an erased function
+/// pointer. (The other per-packet event, the transmitter release,
+/// captures one pointer and rides in the queue entry itself.)
 class EventClosure {
  public:
   static constexpr std::size_t kInlineBytes = sizeof(void*) + sizeof(Packet);
@@ -113,10 +129,6 @@ class EventClosure {
     kind_ = Kind::kDeliver;
   }
 
-  /// In-entry trampoline for the transmitter-release event (lives here
-  /// so Port can grant access with a single friend declaration).
-  static void tx_trampoline(void* payload);
-
   void reset() {
     if (kind_ == Kind::kInline || kind_ == Kind::kHeap) {
       // Trivially-destructible inline captures register a null destroy
@@ -130,7 +142,7 @@ class EventClosure {
   explicit operator bool() const { return kind_ != Kind::kEmpty; }
 
   /// Runs the payload (it stays constructed; callers reset() after).
-  /// Defined in simulator.cc — the typed cases need Node/Port.
+  /// Defined in simulator.cc — the typed case needs Node.
   void invoke();
 
  private:
@@ -224,6 +236,7 @@ class Simulator {
         processed_(other.processed_),
         cancelled_(other.cancelled_),
         past_clamps_(other.past_clamps_),
+        frontier_seq_(other.frontier_seq_),
         stopped_(other.stopped_),
         heap_(std::move(other.heap_)),
         pending_(std::move(other.pending_)),
@@ -258,8 +271,8 @@ class Simulator {
   void at(SimTime t, F&& fn) {
     using D = std::decay_t<F>;
     if constexpr (kFitsEntry<D>) {
-      pending_.push_back(
-          make_inline_entry<D>(clamp_time(t), std::forward<F>(fn)));
+      pending_.push_back(make_inline_entry<D>(clamp_time(t), next_seq_++,
+                                              std::forward<F>(fn)));
     } else {
       const std::uint32_t slot = acquire_slot();
       slot_ref(slot).fn.emplace(std::forward<F>(fn));
@@ -311,16 +324,34 @@ class Simulator {
     defer_entry(t, slot);
   }
 
-  /// Typed fast path: releases `port`'s transmitter after `dt`. The
-  /// payload is one pointer, so it rides in the queue entry itself.
-  void tx_complete_after(SimTime dt, Port* port) {
-    HeapEntry e;
-    e.time = clamp_time(now_ + dt);
-    e.seq = next_seq_++;
-    e.slot = kInlineSlot;
-    e.fn = &EventClosure::tx_trampoline;
-    ::new (static_cast<void*>(e.payload)) Port*(port);
-    pending_.push_back(e);
+  /// Takes the seq the next scheduled event would get, for an event
+  /// that may be scheduled later (or never) at that place in the order.
+  ReservedSeq reserve_seq() { return ReservedSeq{next_seq_++}; }
+
+  /// True when an event at (t, s) would already have run: it orders
+  /// before the running event or, between runs, at or before the point
+  /// where the last run stopped. A run that returns without stop()
+  /// counts every seq handed out so far as passed at its final clock.
+  bool passed(SimTime t, ReservedSeq s) const {
+    return t < now_ ||
+           (t == now_ && static_cast<std::int32_t>(s.seq - frontier_seq_) < 0);
+  }
+
+  /// Schedules `fn` at (t, s), a place reserved earlier and not yet
+  /// passed. The capture must fit in the queue entry (one pointer, as
+  /// for the port's transmitter release), so no arena slot is touched.
+  /// The entry goes straight into the heap: the pending buffer must
+  /// stay in seq order (see sort_pending), and a reserved seq is older
+  /// than the entries appended since.
+  template <typename F>
+  void at_reserved(SimTime t, ReservedSeq s, F&& fn) {
+    using D = std::decay_t<F>;
+    static_assert(kFitsEntry<D>, "reserved-seq events ride in the entry");
+    assert(!passed(t, s) && "scheduling at a place already passed");
+    const auto pos = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back(
+        make_inline_entry<D>(clamp_time(t), s.seq, std::forward<F>(fn)));
+    sift_up(pos);
   }
 
   /// Runs until the event queue drains or stop() is called.
@@ -368,7 +399,9 @@ class Simulator {
   // insertion sequence; ties compare with wraparound subtraction, which
   // reproduces exact FIFO order as long as equal-time events coexisting
   // in the queue were scheduled within 2^31 schedules of each other
-  // (real queues are orders of magnitude smaller).
+  // (real queues are orders of magnitude smaller). The same holds for a
+  // reserved seq against the events and the frontier it meets at its
+  // time.
   //
   // `slot` selects the payload's home: an arena slot id (bit 31 marks a
   // cancellable entry whose arena slot mirrors its heap position —
@@ -448,10 +481,10 @@ class Simulator {
   /// the entry's payload bytes and dispatched through a plain function
   /// pointer, bypassing the arena on both schedule and fire.
   template <typename D, typename F>
-  HeapEntry make_inline_entry(SimTime t, F&& fn) {
+  static HeapEntry make_inline_entry(SimTime t, std::uint32_t seq, F&& fn) {
     HeapEntry e;
     e.time = t;
-    e.seq = next_seq_++;
+    e.seq = seq;
     e.slot = kInlineSlot;
     e.fn = [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); };
     ::new (static_cast<void*>(e.payload)) D(std::forward<F>(fn));
@@ -474,12 +507,20 @@ class Simulator {
   bool sorted_drained() const { return cursor_ == sorted_.size(); }
   void fire(HeapEntry e);
   void step();
+  /// Closes a run: unless stop() cut it short, every seq handed out so
+  /// far is passed at the final clock.
+  void end_run() {
+    if (!stopped_) frontier_seq_ = next_seq_;
+  }
 
   SimTime now_ = 0.0;
   std::uint32_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t past_clamps_ = 0;
+  /// Seq half of the `passed` frontier (its time half is now_): the
+  /// running event's seq, or next_seq_ once a run has returned.
+  std::uint32_t frontier_seq_ = 0;
   bool stopped_ = false;
   std::vector<HeapEntry> heap_;
   std::vector<HeapEntry> pending_;

@@ -7,8 +7,10 @@
 #include <utility>
 #include <vector>
 
+#include "queue/codel.h"
 #include "queue/drop_tail.h"
 #include "queue/factory.h"
+#include "queue/multi_queue.h"
 #include "sim/network.h"
 #include "sim/port.h"
 #include "sim/simulator.h"
@@ -318,6 +320,109 @@ TEST(Simulator, MoveTransfersQueueAndHandlesStayValid) {
   EXPECT_DOUBLE_EQ(b.now(), 1.0);
 }
 
+// --- reserved seqs ----------------------------------------------------
+
+TEST(Simulator, ReservedSeqPopsWhereItWasReserved) {
+  // Equal-time events scheduled before and after the reservation; the
+  // reserved event itself is scheduled later, from inside a handler,
+  // and must still pop between them (heap path: few pending entries).
+  sim::Simulator s;
+  std::vector<int> order;
+  std::vector<int>* o = &order;
+  s.at(1.0, [o] { o->push_back(0); });
+  const sim::ReservedSeq r = s.reserve_seq();
+  s.at(1.0, [o] { o->push_back(2); });
+  s.at(0.5, [&s, o, r] { s.at_reserved(1.0, r, [o] { o->push_back(1); }); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Simulator, ReservedSeqKeepsItsPlaceInASortedRun) {
+  // More than 8 equal-time entries landing on a near-empty heap take
+  // flush_pending's sorted-run path; the reserved entry rides in the
+  // heap overlay and must interleave by seq. Once scheduled before the
+  // run (the batch is sorted around it) and once mid-drain.
+  struct Cell {
+    std::vector<int>* order;
+    int id;
+  };
+  for (const bool mid_run : {false, true}) {
+    sim::Simulator s;
+    std::vector<int> order;
+    std::vector<Cell> cells;
+    std::vector<int> expect;
+    for (int i = 0; i < 21; ++i) {
+      cells.push_back(Cell{&order, i});
+      expect.push_back(i);
+    }
+    sim::ReservedSeq r;
+    for (const Cell& c : cells) {
+      if (c.id == 10) {
+        r = s.reserve_seq();
+        continue;
+      }
+      s.at(2.0, [p = &c] { p->order->push_back(p->id); });
+    }
+    const Cell* ten = &cells[10];
+    if (mid_run) {
+      for (int k = 0; k < 12; ++k) s.at(1.0, [] {});
+      s.at(1.5, [&s, r, ten] {
+        s.at_reserved(2.0, r, [ten] { ten->order->push_back(ten->id); });
+      });
+    } else {
+      s.at_reserved(2.0, r, [ten] { ten->order->push_back(ten->id); });
+    }
+    s.run();
+    EXPECT_EQ(order, expect) << "mid_run=" << mid_run;
+  }
+}
+
+TEST(Simulator, PassedIsTrueOnlyBeforeTheRunningEvent) {
+  sim::Simulator s;
+  const sim::ReservedSeq before = s.reserve_seq();
+  int checked = 0;
+  s.at(1.0, [&] {
+    EXPECT_TRUE(s.passed(1.0, before));
+    EXPECT_TRUE(s.passed(0.5, before));
+    EXPECT_FALSE(s.passed(1.5, before));
+    const sim::ReservedSeq during = s.reserve_seq();
+    EXPECT_FALSE(s.passed(1.0, during));
+    EXPECT_TRUE(s.passed(0.5, during));
+    ++checked;
+  });
+  const sim::ReservedSeq after = s.reserve_seq();
+  s.at(1.0, [&] {
+    // The second event at 1.0 has passed the reservation between them.
+    EXPECT_TRUE(s.passed(1.0, after));
+    ++checked;
+  });
+  EXPECT_FALSE(s.passed(0.0, before));  // nothing has run yet
+  s.at(1.0, [&] { EXPECT_FALSE(s.passed(1.0, s.reserve_seq())); });
+  s.run();
+  EXPECT_EQ(checked, 2);
+}
+
+TEST(Simulator, RunUntilPassesItsBoundaryButStopDoesNot) {
+  sim::Simulator s;
+  s.at(1.0, [] {});
+  const sim::ReservedSeq r = s.reserve_seq();
+  s.run_until(2.0);
+  EXPECT_TRUE(s.passed(2.0, r));    // every seq so far, up to the clock
+  EXPECT_FALSE(s.passed(2.5, r));
+  EXPECT_FALSE(s.passed(2.0, s.reserve_seq()));  // taken after the run
+
+  sim::Simulator t;
+  const sim::ReservedSeq early = t.reserve_seq();
+  t.at(1.0, [&t] { t.stop(); });
+  const sim::ReservedSeq late = t.reserve_seq();
+  t.at(1.0, [] {});
+  t.run();
+  EXPECT_DOUBLE_EQ(t.now(), 1.0);
+  EXPECT_TRUE(t.passed(1.0, early));
+  EXPECT_FALSE(t.passed(1.0, late));  // ordered after the stopping event
+  EXPECT_FALSE(t.passed(1.0, t.reserve_seq()));
+}
+
 // --- port / link timing ---------------------------------------------
 
 class SinkNode : public sim::Node {
@@ -405,6 +510,108 @@ TEST(Port, QueueHoldsPacketsWhileBusy) {
   EXPECT_EQ(port.disc().drops(), 2u);
   s.run();
   EXPECT_EQ(received, 3);
+}
+
+// A port's transmitter release runs only when a packet waits behind
+// it; the cases below pin the behaviour an eagerly scheduled release
+// gives: the empty dequeue a skipped release would have made, and the
+// tie order of arrivals at exactly the end of a transmission.
+
+class RecordingSink : public sim::Node {
+ public:
+  RecordingSink() : Node(1, "rec") {}
+  void receive(sim::Packet pkt) override { packets.push_back(pkt); }
+  std::vector<sim::Packet> packets;
+};
+
+TEST(Port, CodelIntervalRestartsAfterAnIdleTransmitter) {
+  // 125 B at 1 Mbps = 1 ms per packet; every queued packet waits at
+  // least 1 ms, above the 0.5 ms target. The first burst drains before
+  // the 10 ms interval runs out, leaving CoDel's above-target clock set.
+  // The release after its last packet finds the queue empty, and that
+  // empty dequeue clears the clock, so the second burst starts a fresh
+  // interval and nothing is marked. A stale clock would mark at once.
+  sim::Simulator s;
+  RecordingSink sink;
+  queue::CodelConfig cfg;
+  cfg.target = 0.5e-3;
+  cfg.interval = 10e-3;
+  sim::Port port(s, units::mbps(1), 0.0,
+                 std::make_unique<queue::CodelQueue>(0, 0, cfg));
+  port.attach_peer(&sink);
+  sim::Packet pkt;
+  pkt.size_bytes = 125;
+  pkt.ect = true;
+  for (int i = 0; i < 5; ++i) port.send(pkt);
+  s.at(20e-3, [&port, &pkt] {
+    for (int i = 0; i < 3; ++i) port.send(pkt);
+  });
+  s.run();
+  ASSERT_EQ(sink.packets.size(), 8u);
+  for (const sim::Packet& p : sink.packets) EXPECT_FALSE(p.ce);
+  EXPECT_EQ(port.counters().marked, 0u);
+}
+
+TEST(Port, WrrCreditRefillsWhenTheTransmitterGoesIdle) {
+  // Weights {3, 1}. The first transmission leaves class 0 with 2 of its
+  // 3 credits; the release after it finds the port empty, and that
+  // empty dequeue rotates WRR back to class 0 with its credit refilled.
+  // The next backlog in both classes is then served 3:1 from a fresh
+  // rotation.
+  sim::Simulator s;
+  RecordingSink sink;
+  std::vector<std::unique_ptr<sim::QueueDisc>> kids;
+  kids.push_back(std::make_unique<queue::DropTailQueue>(0, 0));
+  kids.push_back(std::make_unique<queue::DropTailQueue>(0, 0));
+  sim::Port port(s, units::mbps(8), 0.0,
+                 std::make_unique<queue::MultiQueueDisc>(
+                     std::move(kids), queue::SchedPolicy::kWrr,
+                     std::vector<std::uint32_t>{3, 1}));
+  port.attach_peer(&sink);
+  const auto send = [&port](std::uint8_t prio) {
+    sim::Packet p;
+    p.size_bytes = 1000;  // 1 ms at 8 Mbps
+    p.prio = prio & 0x3;
+    port.send(p);
+  };
+  send(0);  // to the wire
+  send(0);  // queued, then served on class 0's first credit
+  s.at(10e-3, [&send] {
+    for (const std::uint8_t prio : {0, 0, 0, 0, 0, 1, 1}) send(prio);
+  });
+  s.run();
+  std::vector<int> order;
+  for (const sim::Packet& p : sink.packets) order.push_back(p.prio);
+  EXPECT_EQ(order, (std::vector<int>{0, 0, 0, 0, 0, 0, 1, 0, 1}));
+}
+
+TEST(Port, ArrivalAtTheEndOfATransmissionOrdersAgainstTheRelease) {
+  // Two ports each start a transmission at t=0 that ends at tx. On port
+  // a, an arrival at tx was scheduled before the transmission began, so
+  // it runs before the release and finds the transmitter busy; on port
+  // b, one scheduled afterwards runs after the release and finds it
+  // idle.
+  sim::Simulator s;
+  RecordingSink sink;
+  sim::Port a(s, units::mbps(1), 0.0,
+              std::make_unique<queue::DropTailQueue>(0, 0));
+  sim::Port b(s, units::mbps(1), 0.0,
+              std::make_unique<queue::DropTailQueue>(0, 0));
+  a.attach_peer(&sink);
+  b.attach_peer(&sink);
+  sim::Packet pkt;
+  pkt.size_bytes = 125;
+  const SimTime tx = units::transmission_time(pkt.size_bytes, units::mbps(1));
+  s.at(s.now() + tx, [&a, &pkt] { a.send(pkt); });
+  a.send(pkt);
+  b.send(pkt);
+  s.at(s.now() + tx, [&b, &pkt] { b.send(pkt); });
+  s.run();
+  EXPECT_EQ(a.counters().bypassed, 1u);
+  EXPECT_EQ(a.counters().enqueued, 1u);
+  EXPECT_EQ(b.counters().bypassed, 2u);
+  EXPECT_EQ(b.counters().enqueued, 0u);
+  EXPECT_EQ(sink.packets.size(), 4u);
 }
 
 // --- network / routing ------------------------------------------------

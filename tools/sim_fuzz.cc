@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
         print_violations(res, 6);
       }
     }
-    std::printf("large-scenario fuzz: %d/%d ok, %llu events checked\n",
+    std::printf("large-scenario fuzz: %d/%d ok, %llu kernel events\n",
                 large_count - failures, large_count,
                 static_cast<unsigned long long>(total_events));
     return failures == 0 ? 0 : 1;
@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
       }
       return 1;
     }
-    std::printf("PASS (%llu events checked)\n",
+    std::printf("PASS (%llu kernel events)\n",
                 static_cast<unsigned long long>(res.events));
     return 0;
   }
@@ -306,6 +306,7 @@ int main(int argc, char** argv) {
   int ran = 0;
   int failures = 0;
   std::uint64_t total_events = 0;
+  ConservationTotals totals;
   for (int i = 0; i < count; ++i) {
     if (budget_seconds > 0.0 && wall_seconds() > budget_seconds) {
       std::printf("time budget (%.0fs) reached after %d scenarios\n",
@@ -320,6 +321,9 @@ int main(int argc, char** argv) {
     const FuzzResult res = run_scenario(sc, cfg);
     ++ran;
     total_events += res.events;
+    totals.injected += res.totals.injected;
+    totals.delivered += res.totals.delivered;
+    totals.dropped += res.totals.dropped;
     if (scenario_failed(res)) {
       ++failures;
       std::printf("FAIL %s\n", sc.describe().c_str());
@@ -337,13 +341,19 @@ int main(int argc, char** argv) {
         std::fflush(out);
       }
     } else if ((i + 1) % 25 == 0) {
-      std::printf("  %d/%d scenarios ok (%.1fs, %llu events)\n", i + 1, count,
-                  wall_seconds(),
+      std::printf("  %d/%d scenarios ok (%.1fs, %llu kernel events)\n", i + 1,
+                  count, wall_seconds(),
                   static_cast<unsigned long long>(total_events));
     }
   }
   if (out != nullptr) std::fclose(out);
-  std::printf("fuzz: %d scenarios, %d failure(s), %llu events checked\n", ran,
-              failures, static_cast<unsigned long long>(total_events));
+  // Kernel events count scheduling work and move with kernel changes;
+  // the ledger totals pin behaviour (zero when checks are compiled out).
+  std::printf("fuzz: %d scenarios, %d failure(s), %llu kernel events, "
+              "injected=%llu delivered=%llu dropped=%llu\n",
+              ran, failures, static_cast<unsigned long long>(total_events),
+              static_cast<unsigned long long>(totals.injected),
+              static_cast<unsigned long long>(totals.delivered),
+              static_cast<unsigned long long>(totals.dropped));
   return failures == 0 ? 0 : 1;
 }
