@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "queue/factory.h"
-#include "sim/network.h"
+#include "sim/star.h"
 #include "workload/fct_workloads.h"
 #include "workload/flow_sampler.h"
 
@@ -17,22 +16,12 @@ using namespace dtdctcp;
 namespace {
 
 void run_protocol(bool dt) {
-  sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& sink = net.add_host("sink");
-  const auto q = queue::drop_tail(0, 0);
-  const auto mark = (dt ? workload::FctScheme::kDtLoop
-                        : workload::FctScheme::kDctcp).queue_factory(0, 200);
-  net.attach_host(sink, sw, units::gbps(1), 25e-6, q, mark);
-
   constexpr int kFlows = 5;
-  std::vector<sim::Host*> hosts;
-  for (int i = 0; i < kFlows; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
-    net.attach_host(h, sw, units::gbps(10), 25e-6, q, q);
-    hosts.push_back(&h);
-  }
-  net.build_routes();
+  sim::Network net;
+  const sim::Star star = sim::build_star(
+      net, {.senders = kFlows},
+      (dt ? workload::FctScheme::kDtLoop : workload::FctScheme::kDctcp)
+          .queue_factory(0, 200));
 
   tcp::TcpConfig cfg;
   cfg.mode = tcp::CcMode::kDctcp;
@@ -41,7 +30,8 @@ void run_protocol(bool dt) {
   std::vector<std::unique_ptr<tcp::Connection>> conns;
   for (int i = 0; i < kFlows; ++i) {
     conns.push_back(
-        std::make_unique<tcp::Connection>(net, *hosts[i], sink, cfg, 0));
+        std::make_unique<tcp::Connection>(net, *star.senders[i], *star.sink,
+                                          cfg, 0));
     conns.back()->start_at(epoch * i);
   }
 

@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "queue/factory.h"
-#include "sim/network.h"
+#include "sim/star.h"
 #include "tcp/connection.h"
 #include "workload/fct_workloads.h"
 
@@ -29,20 +28,10 @@ struct GroupResult {
 GroupResult run_mix(bool deadline_aware, bool dt_switch, int flows,
                     double tight_deadline, double loose_deadline) {
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& sink = net.add_host("sink");
-  const auto q = queue::drop_tail(0, 0);
-  const auto mark = (dt_switch ? workload::FctScheme::kDtLoop
-                               : workload::FctScheme::kDctcp)
-                        .queue_factory(0, 200);
-  net.attach_host(sink, sw, units::gbps(1), 25e-6, q, mark);
-  std::vector<sim::Host*> hosts;
-  for (int i = 0; i < flows; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
-    net.attach_host(h, sw, units::gbps(10), 25e-6, q, q);
-    hosts.push_back(&h);
-  }
-  net.build_routes();
+  const sim::Star star = sim::build_star(
+      net, {.senders = static_cast<std::size_t>(flows)},
+      (dt_switch ? workload::FctScheme::kDtLoop : workload::FctScheme::kDctcp)
+          .queue_factory(0, 200));
 
   constexpr std::int64_t kSegs = 2000;  // 3 MB per flow
   std::vector<std::unique_ptr<tcp::Connection>> conns;
@@ -57,7 +46,8 @@ GroupResult run_mix(bool deadline_aware, bool dt_switch, int flows,
     cfg.deadline = deadline_aware ? deadline : 0.0;
     deadlines.push_back(deadline);
     conns.push_back(
-        std::make_unique<tcp::Connection>(net, *hosts[i], sink, cfg, kSegs));
+        std::make_unique<tcp::Connection>(net, *star.senders[i], *star.sink,
+                                          cfg, kSegs));
     conns.back()->start_at(0.0);
   }
   net.sim().run();

@@ -9,9 +9,8 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "queue/factory.h"
-#include "sim/network.h"
 #include "sim/queue_monitor.h"
+#include "sim/star.h"
 #include "stats/percentile.h"
 #include "tcp/connection.h"
 #include "workload/fct_workloads.h"
@@ -27,22 +26,12 @@ struct Result {
 };
 
 Result run_stack(int kind) {  // 0 cubic+droptail, 1 dctcp, 2 dt-dctcp
-  sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& sink = net.add_host("sink");
-  const auto q = queue::drop_tail(0, 0);
   const queue::MarkingRule rules[] = {workload::FctScheme::kDropTail,
                                       workload::FctScheme::kDctcp,
                                       workload::FctScheme::kDtLoop};
-  const std::size_t port = net.attach_host(
-      sink, sw, units::gbps(1), 25e-6, q, rules[kind].queue_factory(0, 150));
-  std::vector<sim::Host*> hosts;
-  for (int i = 0; i < 3; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
-    net.attach_host(h, sw, units::gbps(10), 25e-6, q, q);
-    hosts.push_back(&h);
-  }
-  net.build_routes();
+  sim::Network net;
+  const sim::Star star = sim::build_star(net, {.senders = 3},
+                                         rules[kind].queue_factory(0, 150));
 
   tcp::TcpConfig cfg;
   cfg.mode = kind == 0 ? tcp::CcMode::kCubic : tcp::CcMode::kDctcp;
@@ -50,22 +39,22 @@ Result run_stack(int kind) {  // 0 cubic+droptail, 1 dctcp, 2 dt-dctcp
   cfg.init_rto = 0.01;
 
   // Two background elephants.
-  tcp::Connection bg1(net, *hosts[0], sink, cfg, 0);
-  tcp::Connection bg2(net, *hosts[1], sink, cfg, 0);
+  tcp::Connection bg1(net, *star.senders[0], *star.sink, cfg, 0);
+  tcp::Connection bg2(net, *star.senders[1], *star.sink, cfg, 0);
   bg1.start_at(0.0);
   bg2.start_at(0.0);
 
   // Periodic 20 KB requests (14 segments) from the third host.
   sim::QueueMonitor monitor;
-  monitor.attach(sw.port(port).disc());
+  monitor.attach(star.bottleneck().disc());
   stats::PercentileTracker fct;
   std::vector<std::unique_ptr<tcp::Connection>> minnows;
   const double period = 0.005;
   const int shorts = static_cast<int>(bench::scaled(60, 10));
   std::function<void(int)> fire = [&](int i) {
     if (i >= shorts) return;
-    auto conn =
-        std::make_unique<tcp::Connection>(net, *hosts[2], sink, cfg, 14);
+    auto conn = std::make_unique<tcp::Connection>(net, *star.senders[2],
+                                                  *star.sink, cfg, 14);
     const SimTime begin = net.sim().now();
     conn->set_on_complete(
         [&fct, begin](SimTime t) { fct.add(t - begin); });

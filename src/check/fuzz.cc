@@ -17,6 +17,7 @@
 #include "queue/multi_queue.h"
 #include "sim/fabric.h"
 #include "sim/network.h"
+#include "sim/star.h"
 #include "tcp/connection.h"
 #include "util/rng.h"
 
@@ -101,7 +102,6 @@ Rig build_rig(const FuzzScenario& sc) {
   Rng rng(splitmix64(sc.seed ^ kRunSalt));
   const tcp::TcpConfig tcp_cfg = make_tcp(sc);
   const SimTime spread = units::microseconds(sc.start_spread_us);
-  const auto edge_queue = queue::drop_tail(0, 0);
   // Every marking queue of the scenario: the dumbbell/incast bottleneck,
   // or every fabric switch port.
   const sim::QueueFactory marking_disc = sc.marking.queue_factory(
@@ -160,18 +160,13 @@ Rig build_rig(const FuzzScenario& sc) {
   // Dumbbell and incast share the N-senders -> switch -> sink shape;
   // incast differs in the generated parameters (high fan-in, small
   // transfers, near-synchronized starts).
-  rig.owned_net = std::make_unique<sim::Network>();
-  rig.net = rig.owned_net.get();
-  const SimTime leg = units::microseconds(sc.rtt_us) / 4.0;
-  sim::Switch& sw = rig.net->add_switch("sw0");
-  sim::Host& sink = rig.net->add_host("sink");
-
+  //
   // Optionally put every switch egress queue (the bottleneck toward the
   // sink plus the ACK-return ports toward each sender) on one shared
   // DT-managed buffer pool. Host-side queues stay unpooled: they model
   // NIC transmit rings, not switch memory.
   sim::QueueFactory bneck_disc = marking_disc;
-  sim::QueueFactory sw_edge = edge_queue;
+  sim::QueueFactory sw_edge = queue::drop_tail(0, 0);
   if (sc.pool_capacity_packets > 0) {
     constexpr std::size_t kMtu = 1500;
     rig.pool = std::make_unique<sim::SharedBufferPool>(
@@ -191,20 +186,16 @@ Rig build_rig(const FuzzScenario& sc) {
     sw_edge = queue::pooled(sw_edge, *rig.pool, share);
   }
 
-  const std::size_t sink_port = rig.net->attach_host(
-      sink, sw, units::gbps(sc.bottleneck_gbps), leg, edge_queue, bneck_disc);
-  std::vector<sim::Host*> senders;
-  for (int i = 0; i < sc.flows; ++i) {
-    sim::Host& h = rig.net->add_host("sender" + std::to_string(i));
-    rig.net->attach_host(h, sw, units::gbps(sc.edge_gbps), leg, edge_queue,
-                         sw_edge);
-    senders.push_back(&h);
-  }
-  rig.net->build_routes();
-  for (int i = 0; i < sc.flows; ++i) {
+  rig.owned_net = std::make_unique<sim::Network>();
+  rig.net = rig.owned_net.get();
+  const sim::Star star = sim::build_star(
+      *rig.net,
+      {static_cast<std::size_t>(sc.flows), units::gbps(sc.bottleneck_gbps),
+       units::gbps(sc.edge_gbps), units::microseconds(sc.rtt_us) / 4.0},
+      bneck_disc, sw_edge);
+  for (sim::Host* sender : star.senders) {
     auto conn = std::make_unique<tcp::Connection>(
-        *rig.net, *senders[static_cast<std::size_t>(i)], sink, tcp_cfg,
-        sc.segments_per_flow);
+        *rig.net, *sender, *star.sink, tcp_cfg, sc.segments_per_flow);
     conn->start_at(rng.uniform(0.0, spread + 1e-9));
     rig.conns.push_back(std::move(conn));
   }
@@ -222,7 +213,7 @@ Rig build_rig(const FuzzScenario& sc) {
     hcfg.horizon = units::microseconds(sc.hybrid_horizon_us);
     rig.fluid_bg = std::make_unique<hybrid::FluidBackground>(
         hcfg, units::gbps(sc.bottleneck_gbps));
-    rig.fluid_bg->attach(sw.port(sink_port));
+    rig.fluid_bg->attach(star.bottleneck());
   }
   return rig;
 }

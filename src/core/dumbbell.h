@@ -33,14 +33,6 @@ struct DumbbellConfig {
 
   bool trace_queue = false;         ///< record the full queue trace
   SimTime alpha_sample_every = 0.0; ///< 0 = one RTT
-
-  /// 0 = the classic serial loop; 1 = drive the run through the parsim
-  /// ShardRunner with a single shard — byte-identical to 0 (pinned by
-  /// tests), exercising the window protocol on the reference scenario.
-  /// Values > 1 are rejected: the alpha sampler reads sender state
-  /// across the whole group mid-run, which is only safe when every node
-  /// shares one shard. Multi-shard experiments live in parsim::run_fabric.
-  std::size_t shards = 0;
 };
 
 struct DumbbellResult {

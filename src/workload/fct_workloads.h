@@ -34,6 +34,7 @@
 #include "sim/counters.h"
 #include "sim/network.h"
 #include "sim/queue_monitor.h"
+#include "sim/star.h"
 #include "stats/metrics.h"
 #include "tcp/config.h"
 #include "tcp/flow_metrics.h"
@@ -200,6 +201,15 @@ struct FctWorkloadResult {
 
 inline FctWorkloadResult run_fct_workload(const FctWorkloadConfig& cfg) {
   constexpr std::size_t kMtu = 1500;  // tcp::TcpConfig default MSS
+  // Packet-mode background flows get dedicated hosts after the senders
+  // (capped at 32 — connections beyond that share hosts round-robin) so
+  // the foreground edge links stay uncongested and only the bottleneck
+  // is contended.
+  const bool bg_packet = cfg.background_flows > 0 &&
+                         cfg.background_mode == FctBackgroundMode::kPacket;
+  const std::size_t n_bg =
+      bg_packet ? std::min<std::size_t>(cfg.background_flows, 32) : 0;
+
   // Declared before the network so queues can release their backlog
   // into the pool from their destructors at teardown.
   std::optional<sim::SharedBufferPool> pool;
@@ -210,20 +220,18 @@ inline FctWorkloadResult run_fct_workload(const FctWorkloadConfig& cfg) {
     sim::PortShare share;
     share.alpha = cfg.pool_alpha;
     // Clamped so the per-port guarantees always fit the pool however
-    // many ports share it (sink + ACK-return, cfg.senders + 1 total).
+    // many ports share it: the sink port plus one ACK-return port per
+    // sender and background host.
     std::size_t hr_pkts = cfg.pool_headroom_pkts;
     if (cfg.pool_capacity_pkts > 0) {
-      hr_pkts = std::min(hr_pkts, cfg.pool_capacity_pkts / (cfg.senders + 1));
+      hr_pkts = std::min(hr_pkts,
+                         cfg.pool_capacity_pkts / (cfg.senders + n_bg + 1));
     }
     share.headroom_bytes = hr_pkts * kMtu;
     return queue::pooled(std::move(f), *pool, share, src,
                          static_cast<double>(kMtu));
   };
 
-  sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& sink = net.add_host("sink");
-  const auto edge = queue::drop_tail(0, 0);
   // The contended queue is the switch's sink-facing egress. With
   // priority classes the multi-queue wraps per-class pooled markers, so
   // each class runs its own AQM and charges the pool under its own DT
@@ -236,36 +244,15 @@ inline FctWorkloadResult run_fct_workload(const FctWorkloadConfig& cfg) {
     bottleneck = queue::multi_queue(cfg.priority_classes, bottleneck,
                                     cfg.sched_policy);
   }
-  const std::size_t sink_port =
-      net.attach_host(sink, sw, cfg.link_bps, 25e-6, edge, bottleneck);
-  std::vector<sim::Host*> senders;
-  senders.reserve(cfg.senders);
-  for (std::size_t i = 0; i < cfg.senders; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
-    net.attach_host(h, sw, 10.0 * cfg.link_bps, 25e-6, edge,
-                    pool_wrap(edge, queue::EcnOccupancySource::kPortQueue));
-    senders.push_back(&h);
-  }
-  // Packet-mode background flows get dedicated hosts (capped at 32 —
-  // connections beyond that share hosts round-robin) so the foreground
-  // edge links stay uncongested and only the bottleneck is contended.
-  std::vector<sim::Host*> bg_hosts;
-  const bool bg_packet = cfg.background_flows > 0 &&
-                         cfg.background_mode == FctBackgroundMode::kPacket;
-  if (bg_packet) {
-    const std::size_t n = std::min<std::size_t>(cfg.background_flows, 32);
-    bg_hosts.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto& h = net.add_host("bg" + std::to_string(i));
-      net.attach_host(h, sw, 10.0 * cfg.link_bps, 25e-6, edge,
-                      pool_wrap(edge, queue::EcnOccupancySource::kPortQueue));
-      bg_hosts.push_back(&h);
-    }
-  }
-  net.build_routes();
+  sim::Network net;
+  const sim::Star star = sim::build_star(
+      net, {cfg.senders + n_bg, cfg.link_bps, 10.0 * cfg.link_bps, 25e-6},
+      bottleneck,
+      pool_wrap(queue::drop_tail(0, 0),
+                queue::EcnOccupancySource::kPortQueue));
 
   sim::QueueMonitor monitor;
-  monitor.attach(sw.port(sink_port).disc());
+  monitor.attach(star.bottleneck().disc());
 
   tcp::TcpConfig tcp_cfg;
   tcp_cfg.mode = cfg.cc_mode;
@@ -288,7 +275,9 @@ inline FctWorkloadResult run_fct_workload(const FctWorkloadConfig& cfg) {
 
   tcp::FlowMetricsCollector collector(pcfg.small_cutoff_segments,
                                       pcfg.large_cutoff_segments);
-  PoissonFlowGenerator gen(net, senders, {&sink}, tcp_cfg, pcfg);
+  PoissonFlowGenerator gen(
+      net, {star.senders.begin(), star.senders.begin() + cfg.senders},
+      {star.sink}, tcp_cfg, pcfg);
   gen.set_collector(&collector);
 
   // Background share. Both declared after `net` so they are destroyed
@@ -297,9 +286,9 @@ inline FctWorkloadResult run_fct_workload(const FctWorkloadConfig& cfg) {
   if (bg_packet) {
     std::vector<sim::Host*> sources(cfg.background_flows);
     for (std::size_t i = 0; i < sources.size(); ++i) {
-      sources[i] = bg_hosts[i % bg_hosts.size()];
+      sources[i] = star.senders[cfg.senders + i % n_bg];
     }
-    bg_group.emplace(net, sources, sink, tcp_cfg,
+    bg_group.emplace(net, sources, *star.sink, tcp_cfg,
                      /*start_spread=*/10.0 * cfg.background_rtt,
                      cfg.seed ^ 0x9e3779b97f4a7c15ull);
   }
@@ -318,7 +307,7 @@ inline FctWorkloadResult run_fct_workload(const FctWorkloadConfig& cfg) {
     hcfg.horizon =
         cfg.background_horizon > 0.0 ? cfg.background_horizon : cfg.duration;
     fluid_bg.emplace(hcfg, cfg.link_bps);
-    fluid_bg->attach(sw.port(sink_port));
+    fluid_bg->attach(star.bottleneck());
   }
 
   gen.start(0.0);
@@ -368,7 +357,7 @@ inline FctWorkloadResult run_fct_workload(const FctWorkloadConfig& cfg) {
   r.marks_seen = collector.marks_seen();
   r.deadline_flows = collector.deadline_flows();
   r.deadline_missed = collector.deadline_missed();
-  const sim::Counters sc = sw.counters();
+  const sim::Counters sc = star.sw->counters();
   r.drops = sc.dropped;
   r.marked_pkts = sc.marked;
   r.queue_mean_pkts = monitor.packets().mean();

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "queue/factory.h"
-#include "sim/network.h"
+#include "sim/star.h"
 #include "tcp/connection.h"
 
 namespace dtdctcp {
@@ -12,23 +12,23 @@ namespace {
 
 struct Path {
   sim::Network net;
-  sim::Switch* sw = nullptr;
+  sim::Star star;
   sim::Host* a = nullptr;
   sim::Host* b = nullptr;
-  std::size_t bneck_port = 0;
 };
 
-Path make_path(DataRate bottleneck, std::size_t queue_pkts) {
+/// One sender `a` on a 1 Gbps edge into sink `b` behind `bottleneck`.
+Path make_path(DataRate bottleneck, const sim::QueueFactory& bneck) {
   Path p;
-  p.sw = &p.net.add_switch("sw");
-  p.a = &p.net.add_host("a");
-  p.b = &p.net.add_host("b");
-  const auto q = queue::drop_tail(0, 0);
-  p.net.attach_host(*p.a, *p.sw, units::gbps(1), 25e-6, q, q);
-  p.bneck_port = p.net.attach_host(*p.b, *p.sw, bottleneck, 25e-6, q,
-                                   queue::drop_tail(0, queue_pkts));
-  p.net.build_routes();
+  p.star = sim::build_star(p.net, {1, bottleneck, units::gbps(1), 25e-6},
+                           bneck);
+  p.a = p.star.senders[0];
+  p.b = p.star.sink;
   return p;
+}
+
+Path make_path(DataRate bottleneck, std::size_t queue_pkts) {
+  return make_path(bottleneck, queue::drop_tail(0, queue_pkts));
 }
 
 tcp::TcpConfig cubic_cfg() {
@@ -77,20 +77,13 @@ TEST(Cubic, PacketsAreNotEct) {
   p.net.sim().run();
   // An ECN threshold queue would have marked ECT packets; rebuild with
   // one and verify zero marks.
-  Path p2;
-  p2.sw = &p2.net.add_switch("sw");
-  p2.a = &p2.net.add_host("a");
-  p2.b = &p2.net.add_host("b");
-  const auto q = queue::drop_tail(0, 0);
-  p2.net.attach_host(*p2.a, *p2.sw, units::gbps(1), 25e-6, q, q);
-  const auto port = p2.net.attach_host(
-      *p2.b, *p2.sw, units::mbps(100), 25e-6, q,
+  Path p2 = make_path(
+      units::mbps(100),
       queue::ecn_threshold(0, 0, 5.0, queue::ThresholdUnit::kPackets));
-  p2.net.build_routes();
   tcp::Connection c2(p2.net, *p2.a, *p2.b, cubic_cfg(), 200);
   c2.start_at(0.0);
   p2.net.sim().run();
-  EXPECT_EQ(p2.sw->port(port).disc().marks(), 0u);
+  EXPECT_EQ(p2.star.bottleneck().disc().marks(), 0u);
 }
 
 TEST(Cubic, GrowthAcceleratesAwayFromWmax) {
@@ -109,23 +102,15 @@ TEST(Cubic, GrowthAcceleratesAwayFromWmax) {
 
 TEST(Cubic, CoexistsWithDctcpOnSharedBottleneck) {
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& sink = net.add_host("sink");
-  auto& h1 = net.add_host("h1");
-  auto& h2 = net.add_host("h2");
-  const auto q = queue::drop_tail(0, 0);
-  net.attach_host(sink, sw, units::mbps(200), 25e-6, q,
-                  queue::ecn_threshold(0, 64, 20.0,
-                                       queue::ThresholdUnit::kPackets));
-  net.attach_host(h1, sw, units::gbps(1), 25e-6, q, q);
-  net.attach_host(h2, sw, units::gbps(1), 25e-6, q, q);
-  net.build_routes();
+  const sim::Star star = sim::build_star(
+      net, {2, units::mbps(200), units::gbps(1), 25e-6},
+      queue::ecn_threshold(0, 64, 20.0, queue::ThresholdUnit::kPackets));
   tcp::TcpConfig dctcp;
   dctcp.mode = tcp::CcMode::kDctcp;
   dctcp.min_rto = 0.01;
   dctcp.init_rto = 0.01;
-  tcp::Connection c1(net, h1, sink, cubic_cfg(), 2000);
-  tcp::Connection c2(net, h2, sink, dctcp, 2000);
+  tcp::Connection c1(net, *star.senders[0], *star.sink, cubic_cfg(), 2000);
+  tcp::Connection c2(net, *star.senders[1], *star.sink, dctcp, 2000);
   c1.start_at(0.0);
   c2.start_at(0.0);
   net.sim().run();

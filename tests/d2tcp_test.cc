@@ -7,6 +7,7 @@
 
 #include "queue/factory.h"
 #include "sim/network.h"
+#include "sim/star.h"
 #include "tcp/connection.h"
 
 namespace dtdctcp {
@@ -120,19 +121,9 @@ TEST(D2tcp, MixedDeadlinesPrioritizeTightFlowsEndToEnd) {
   // between the groups is small.
   auto run = [&](bool deadline_aware) {
     sim::Network net;
-    auto& sw = net.add_switch("sw");
-    auto& sink_host = net.add_host("sink");
-    const auto q = queue::drop_tail(0, 0);
-    net.attach_host(sink_host, sw, units::mbps(500), 25e-6, q,
-                    queue::ecn_threshold(0, 200, 20.0,
-                                         queue::ThresholdUnit::kPackets));
-    std::vector<sim::Host*> hosts;
-    for (int i = 0; i < 4; ++i) {
-      auto& h = net.add_host("h" + std::to_string(i));
-      net.attach_host(h, sw, units::gbps(1), 25e-6, q, q);
-      hosts.push_back(&h);
-    }
-    net.build_routes();
+    const sim::Star star = sim::build_star(
+        net, {4, units::mbps(500), units::gbps(1), 25e-6},
+        queue::ecn_threshold(0, 200, 20.0, queue::ThresholdUnit::kPackets));
 
     constexpr std::int64_t kSegs = 1500;
     std::vector<std::unique_ptr<tcp::Connection>> conns;
@@ -143,9 +134,8 @@ TEST(D2tcp, MixedDeadlinesPrioritizeTightFlowsEndToEnd) {
       cfg.init_rto = 0.01;
       // Flows 0,1: tight deadline; 2,3: loose.
       cfg.deadline = deadline_aware ? (i < 2 ? 0.08 : 10.0) : 0.0;
-      conns.push_back(std::make_unique<tcp::Connection>(net, *hosts[i],
-                                                        sink_host, cfg,
-                                                        kSegs));
+      conns.push_back(std::make_unique<tcp::Connection>(
+          net, *star.senders[i], *star.sink, cfg, kSegs));
       conns.back()->start_at(0.0);
     }
     net.sim().run();

@@ -1,8 +1,8 @@
 // Clos fabric conformance suite: fat-tree shape and link numbering,
 // seeded ECMP (balanced vs forced-polarized), mid-run link failures
 // with conservation auditing on fat-tree and leaf-spine, stale-route
-// clearing, pod-whole sharding determinism, and shared-buffer isolation
-// on an oversubscribed fabric.
+// clearing, pod-whole sharding determinism, shared-buffer isolation
+// on an oversubscribed fabric, and the single-switch star builder.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,6 +18,7 @@
 #include "queue/factory.h"
 #include "sim/fabric.h"
 #include "sim/shared_buffer.h"
+#include "sim/star.h"
 #include "tcp/connection.h"
 #include "util/units.h"
 
@@ -688,6 +689,83 @@ TEST(LeafSpine, RerouteHasNoSpineZeroAssumption) {
   // Nothing from leaf0 crossed spine0.
   EXPECT_EQ(spine0->port(1).packets_sent(), 0u);  // spine0 -> leaf1
   for (auto* sw : fab.edges) EXPECT_EQ(sw->unrouted_drops(), 0u);
+}
+
+// ---- Star builder ---------------------------------------------------------
+
+TEST(Star, WiresSinkFirstThenEachSenderInOrder) {
+  sim::Network net;
+  const sim::StarConfig cfg{3, units::gbps(1), units::gbps(40), 7e-6};
+  const sim::Star star = sim::build_star(
+      net, cfg,
+      queue::ecn_threshold(0, 0, 20.0, queue::ThresholdUnit::kPackets));
+
+  ASSERT_EQ(net.nodes().size(), 5u);
+  EXPECT_EQ(star.sw->id(), 0u);
+  EXPECT_EQ(star.sink->id(), 1u);
+  ASSERT_EQ(star.senders.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(star.senders[i]->id(), i + 2);
+  }
+
+  ASSERT_EQ(star.sw->port_count(), 4u);
+  EXPECT_EQ(star.bottleneck_port, 0u);
+  EXPECT_EQ(&star.bottleneck(), &star.sw->port(0));
+  EXPECT_EQ(star.bottleneck().peer(), star.sink);
+  EXPECT_EQ(star.bottleneck().rate_bps(), cfg.bottleneck_bps);
+  EXPECT_EQ(star.bottleneck().prop_delay(), cfg.leg);
+  EXPECT_NE(dynamic_cast<queue::EcnThresholdQueue*>(&star.bottleneck().disc()),
+            nullptr);
+  EXPECT_EQ(star.sink->uplink().peer(), star.sw);
+  EXPECT_EQ(star.sink->uplink().rate_bps(), cfg.bottleneck_bps);
+  EXPECT_EQ(star.sink->uplink().prop_delay(), cfg.leg);
+
+  for (std::size_t i = 0; i < 3; ++i) {
+    sim::Port& ack = star.sw->port(i + 1);
+    sim::Port& nic = star.senders[i]->uplink();
+    EXPECT_EQ(ack.peer(), star.senders[i]);
+    EXPECT_EQ(ack.rate_bps(), cfg.edge_bps);
+    EXPECT_EQ(ack.prop_delay(), cfg.leg);
+    // No ack_return factory: unbounded drop-tail toward the senders.
+    EXPECT_NE(dynamic_cast<queue::DropTailQueue*>(&ack.disc()), nullptr);
+    EXPECT_EQ(nic.peer(), star.sw);
+    EXPECT_EQ(nic.rate_bps(), cfg.edge_bps);
+    EXPECT_EQ(nic.prop_delay(), cfg.leg);
+  }
+}
+
+TEST(Star, BuildsOneBottleneckQueueAndOneAckReturnQueuePerSender) {
+  int bottleneck_calls = 0;
+  int ack_calls = 0;
+  const auto counting = [](int& calls) -> sim::QueueFactory {
+    return [&calls] {
+      ++calls;
+      return std::make_unique<queue::DropTailQueue>(0, 0);
+    };
+  };
+  sim::Network net;
+  sim::build_star(net, {.senders = 4}, counting(bottleneck_calls),
+                  counting(ack_calls));
+  EXPECT_EQ(bottleneck_calls, 1);
+  EXPECT_EQ(ack_calls, 4);
+}
+
+TEST(Star, EverySenderReachesTheSink) {
+  sim::Network net;
+  const sim::Star star =
+      sim::build_star(net, {.senders = 5}, queue::drop_tail(0, 0));
+  std::vector<std::unique_ptr<tcp::Connection>> conns;
+  for (sim::Host* sender : star.senders) {
+    conns.push_back(std::make_unique<tcp::Connection>(
+        net, *sender, *star.sink, tcp::TcpConfig{}, 20));
+    conns.back()->start_at(0.0);
+  }
+  net.sim().run();
+  for (const auto& conn : conns) {
+    EXPECT_TRUE(conn->sender().completed());
+    EXPECT_EQ(conn->receiver().next_expected(), 20);
+  }
+  EXPECT_EQ(star.sw->unrouted_drops(), 0u);
 }
 
 }  // namespace

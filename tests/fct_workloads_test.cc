@@ -109,18 +109,9 @@ TEST(FctWorkloads, LifecycleInvariantsUnderLoad) {
   ASSERT_GT(pr.flows_completed, 0u);
 
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& sink = net.add_host("sink");
-  const auto q = queue::drop_tail(0, 0);
-  net.attach_host(sink, sw, units::gbps(1), 25e-6, q,
-                  workload::fct_marking(workload::FctScheme::kDctcp, 250));
-  std::vector<sim::Host*> senders;
-  for (int i = 0; i < 4; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
-    net.attach_host(h, sw, units::gbps(10), 25e-6, q, q);
-    senders.push_back(&h);
-  }
-  net.build_routes();
+  const sim::Star star = sim::build_star(
+      net, {.senders = 4},
+      workload::fct_marking(workload::FctScheme::kDctcp, 250));
 
   tcp::TcpConfig tcp_cfg;
   tcp_cfg.min_rto = 0.01;
@@ -131,7 +122,8 @@ TEST(FctWorkloads, LifecycleInvariantsUnderLoad) {
   pcfg.duration = 0.2;
   pcfg.seed = 3;
   tcp::FlowMetricsCollector col;
-  workload::PoissonFlowGenerator gen(net, senders, {&sink}, tcp_cfg, pcfg);
+  workload::PoissonFlowGenerator gen(net, star.senders, {star.sink}, tcp_cfg,
+                                     pcfg);
   gen.set_collector(&col);
   gen.start(0.0);
   net.sim().run();
@@ -195,6 +187,25 @@ TEST(FctWorkloads, FinitePoolCapsOccupancyAndStillCompletes) {
   ASSERT_GT(r.flows_completed, 0u);
   EXPECT_GT(r.pool_peak_bytes, 0u);
   EXPECT_LE(r.pool_peak_bytes, 40u * 1500u);
+}
+
+// Packet-background hosts' ACK-return ports charge the pool too, so the
+// headroom clamp must count them: 8 senders + 4 background hosts + the
+// sink share 18 packets, so each port keeps 1 packet of headroom and
+// the bottleneck can grow past its reserve into the shared region.
+TEST(FctWorkloads, PoolHeadroomClampCountsBackgroundHostPorts) {
+  workload::FctWorkloadConfig cfg;
+  cfg.senders = 8;
+  cfg.background_flows = 4;
+  cfg.background_mode = workload::FctBackgroundMode::kPacket;
+  cfg.use_shared_pool = true;
+  cfg.pool_capacity_pkts = 18;
+  cfg.pool_headroom_pkts = 2;
+  cfg.pool_alpha = 1.0;
+  cfg.duration = 0.05;
+  cfg.seed = 3;
+  const auto r = workload::run_fct_workload(cfg);
+  EXPECT_GT(r.queue_max_pkts, static_cast<double>(cfg.pool_headroom_pkts));
 }
 
 // The bottleneck runs exactly the rule in FctWorkloadConfig::scheme,

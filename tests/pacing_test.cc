@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "queue/factory.h"
-#include "sim/network.h"
+#include "sim/star.h"
 #include "tcp/connection.h"
 
 namespace dtdctcp {
@@ -34,13 +34,11 @@ struct PacingRig {
   std::unique_ptr<RecordingTap> tap;
 
   explicit PacingRig(bool pacing) {
-    auto& sw = net.add_switch("sw");
-    a = &net.add_host("a");
-    b = &net.add_host("b");
-    const auto q = queue::drop_tail(0, 0);
-    net.attach_host(*a, sw, units::gbps(10), 25e-6, q, q);
-    net.attach_host(*b, sw, units::gbps(10), 25e-6, q, q);
-    net.build_routes();
+    const sim::Star star = sim::build_star(
+        net, {1, units::gbps(10), units::gbps(10), 25e-6},
+        queue::drop_tail(0, 0));
+    a = star.senders[0];
+    b = star.sink;
 
     tcp::TcpConfig cfg;
     cfg.mode = tcp::CcMode::kReno;
@@ -85,20 +83,15 @@ TEST(Pacing, UnpacedSenderBurstsBackToBack) {
 
 TEST(Pacing, TransferStillCompletesExactly) {
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& a = net.add_host("a");
-  auto& b = net.add_host("b");
-  const auto q = queue::drop_tail(0, 0);
-  net.attach_host(a, sw, units::gbps(1), 25e-6, q, q);
-  net.attach_host(b, sw, units::mbps(100), 25e-6, q,
-                  queue::drop_tail(0, 16));
-  net.build_routes();
+  const sim::Star star =
+      sim::build_star(net, {1, units::mbps(100), units::gbps(1), 25e-6},
+                      queue::drop_tail(0, 16));
   tcp::TcpConfig cfg;
   cfg.mode = tcp::CcMode::kDctcp;
   cfg.pacing = true;
   cfg.min_rto = 0.01;
   cfg.init_rto = 0.01;
-  tcp::Connection conn(net, a, b, cfg, 400);
+  tcp::Connection conn(net, *star.senders[0], *star.sink, cfg, 400);
   conn.start_at(0.0);
   net.sim().run();
   EXPECT_TRUE(conn.sender().completed());
@@ -108,24 +101,19 @@ TEST(Pacing, TransferStillCompletesExactly) {
 TEST(Pacing, ReducesBurstDropsAtATinyQueue) {
   auto run = [&](bool pacing) {
     sim::Network net;
-    auto& sw = net.add_switch("sw");
-    auto& a = net.add_host("a");
-    auto& b = net.add_host("b");
-    const auto q = queue::drop_tail(0, 0);
-    net.attach_host(a, sw, units::gbps(1), 25e-6, q, q);
-    const std::size_t port = net.attach_host(b, sw, units::mbps(100), 25e-6,
-                                             q, queue::drop_tail(0, 8));
-    net.build_routes();
+    const sim::Star star =
+        sim::build_star(net, {1, units::mbps(100), units::gbps(1), 25e-6},
+                        queue::drop_tail(0, 8));
     tcp::TcpConfig cfg;
     cfg.mode = tcp::CcMode::kReno;
     cfg.pacing = pacing;
     cfg.min_rto = 0.01;
     cfg.init_rto = 0.01;
-    tcp::Connection conn(net, a, b, cfg, 600);
+    tcp::Connection conn(net, *star.senders[0], *star.sink, cfg, 600);
     conn.start_at(0.0);
     net.sim().run();
     EXPECT_TRUE(conn.sender().completed());
-    return sw.port(port).disc().drops();
+    return star.bottleneck().disc().drops();
   };
   const auto paced = run(true);
   const auto unpaced = run(false);

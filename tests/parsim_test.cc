@@ -1,7 +1,7 @@
 // Tests for the conservative-parallel executor (src/parsim): simulator
 // window stepping, partitioning, mailbox determinism, byte-identity
-// pins (one shard == serial; fixed shard count == run-to-run), the
-// cross-shard conservation ledger, and the dumbbell parsim path.
+// pins (one shard == serial; fixed shard count == run-to-run), and the
+// cross-shard conservation ledger.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/dumbbell.h"
 #include "parsim/fabric.h"
 #include "parsim/partition.h"
 #include "parsim/shard_runner.h"
@@ -320,63 +319,6 @@ TEST(ShardRunnerMetrics, RunUntilAdvancesEveryShardClockExactly) {
   // event replay.
   EXPECT_EQ(sharded.shard_sim(0).past_schedule_clamps(), 0u);
   EXPECT_EQ(sharded.shard_sim(1).past_schedule_clamps(), 0u);
-}
-
-// ---- Dumbbell through the parsim path (fig10/fig11 scenarios) -------------
-
-core::DumbbellConfig paper_dumbbell(bool hysteresis) {
-  core::DumbbellConfig dc;
-  dc.flows = 5;
-  dc.rtt = units::microseconds(100);
-  dc.marking = hysteresis ? queue::MarkingRule::dt_dctcp(40.0, 50.0)
-                          : queue::MarkingRule::dctcp(40.0);
-  dc.warmup = 0.05;
-  dc.measure = 0.1;
-  dc.trace_queue = true;
-  dc.seed = 9;
-  return dc;
-}
-
-void expect_bit_equal(const core::DumbbellResult& a,
-                      const core::DumbbellResult& b) {
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.marks, b.marks);
-  EXPECT_EQ(a.drops, b.drops);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.packets, b.packets);
-  // Bit-exact, not approximate: the single-shard window protocol must
-  // reduce to the very same run_until calls as the serial loop.
-  EXPECT_EQ(a.queue_mean, b.queue_mean);
-  EXPECT_EQ(a.queue_stddev, b.queue_stddev);
-  EXPECT_EQ(a.queue_max, b.queue_max);
-  EXPECT_EQ(a.alpha_mean, b.alpha_mean);
-  EXPECT_EQ(a.goodput_bps, b.goodput_bps);
-  ASSERT_EQ(a.queue_trace.size(), b.queue_trace.size());
-  for (std::size_t i = 0; i < a.queue_trace.size(); ++i) {
-    EXPECT_EQ(a.queue_trace.samples()[i].time, b.queue_trace.samples()[i].time);
-    EXPECT_EQ(a.queue_trace.samples()[i].value,
-              b.queue_trace.samples()[i].value);
-  }
-}
-
-TEST(DumbbellParsim, OneShardBitEqualToSerialDctcp) {
-  core::DumbbellConfig serial = paper_dumbbell(false);
-  core::DumbbellConfig one = serial;
-  one.shards = 1;
-  expect_bit_equal(core::run_dumbbell(serial), core::run_dumbbell(one));
-}
-
-TEST(DumbbellParsim, OneShardBitEqualToSerialDtDctcp) {
-  core::DumbbellConfig serial = paper_dumbbell(true);
-  core::DumbbellConfig one = serial;
-  one.shards = 1;
-  expect_bit_equal(core::run_dumbbell(serial), core::run_dumbbell(one));
-}
-
-TEST(DumbbellParsim, MultiShardRejected) {
-  core::DumbbellConfig dc = paper_dumbbell(false);
-  dc.shards = 2;
-  EXPECT_THROW(core::run_dumbbell(dc), std::invalid_argument);
 }
 
 }  // namespace

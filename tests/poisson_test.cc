@@ -8,6 +8,7 @@
 #include "analysis/margins.h"
 #include "queue/factory.h"
 #include "sim/fabric.h"
+#include "sim/star.h"
 #include "workload/flow_sampler.h"
 #include "workload/poisson_flows.h"
 
@@ -121,22 +122,14 @@ TEST(PoissonGenerator, SmallFlowsFinishFasterThanLarge) {
 
 TEST(FlowSampler, MeasuresGoodputAndFairness) {
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& sink = net.add_host("sink");
-  const auto q = queue::drop_tail(0, 0);
-  net.attach_host(sink, sw, units::mbps(100), 25e-6, q,
-                  queue::ecn_threshold(0, 100, 20.0,
-                                       queue::ThresholdUnit::kPackets));
-  auto& h1 = net.add_host("h1");
-  auto& h2 = net.add_host("h2");
-  net.attach_host(h1, sw, units::gbps(1), 25e-6, q, q);
-  net.attach_host(h2, sw, units::gbps(1), 25e-6, q, q);
-  net.build_routes();
+  const sim::Star star = sim::build_star(
+      net, {2, units::mbps(100), units::gbps(1), 25e-6},
+      queue::ecn_threshold(0, 100, 20.0, queue::ThresholdUnit::kPackets));
 
   tcp::TcpConfig cfg;
   cfg.mode = tcp::CcMode::kDctcp;
-  tcp::Connection c1(net, h1, sink, cfg, 0);
-  tcp::Connection c2(net, h2, sink, cfg, 0);
+  tcp::Connection c1(net, *star.senders[0], *star.sink, cfg, 0);
+  tcp::Connection c2(net, *star.senders[1], *star.sink, cfg, 0);
   c1.start_at(0.0);
   c2.start_at(0.0);
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "queue/factory.h"
-#include "sim/network.h"
+#include "sim/star.h"
 #include "tcp/connection.h"
 
 namespace dtdctcp {
@@ -26,13 +26,11 @@ struct RxRig {
   static constexpr sim::FlowId kFlow = 5;
 
   RxRig() {
-    auto& sw = net.add_switch("sw");
-    a = &net.add_host("a");
-    b = &net.add_host("b");
-    const auto q = queue::drop_tail(0, 0);
-    net.attach_host(*a, sw, units::gbps(10), 1e-6, q, q);
-    net.attach_host(*b, sw, units::gbps(10), 1e-6, q, q);
-    net.build_routes();
+    const sim::Star star = sim::build_star(
+        net, {1, units::gbps(10), units::gbps(10), 1e-6},
+        queue::drop_tail(0, 0));
+    a = star.senders[0];
+    b = star.sink;
     a->bind_flow(kFlow, &collector);
   }
 
@@ -135,13 +133,11 @@ class DataCollector : public sim::PacketSink {
 
 TEST(SackSender, RetransmitsExactlyTheHoles) {
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& a = net.add_host("a");
-  auto& b = net.add_host("b");
-  const auto q = queue::drop_tail(0, 0);
-  net.attach_host(a, sw, units::gbps(10), 1e-6, q, q);
-  net.attach_host(b, sw, units::gbps(10), 1e-6, q, q);
-  net.build_routes();
+  const sim::Star star =
+      sim::build_star(net, {1, units::gbps(10), units::gbps(10), 1e-6},
+                      queue::drop_tail(0, 0));
+  sim::Host& a = *star.senders[0];
+  sim::Host& b = *star.sink;
   DataCollector sink;
   b.bind_flow(9, &sink);
 
@@ -198,14 +194,11 @@ struct LossyPath {
 
 LossyPath make_lossy_path(std::size_t queue_pkts) {
   LossyPath p;
-  auto& sw = p.net.add_switch("sw");
-  p.a = &p.net.add_host("a");
-  p.b = &p.net.add_host("b");
-  const auto q = queue::drop_tail(0, 0);
-  p.net.attach_host(*p.a, sw, units::gbps(1), 25e-6, q, q);
-  p.net.attach_host(*p.b, sw, units::mbps(50), 25e-6, q,
-                    queue::drop_tail(0, queue_pkts));
-  p.net.build_routes();
+  const sim::Star star =
+      sim::build_star(p.net, {1, units::mbps(50), units::gbps(1), 25e-6},
+                      queue::drop_tail(0, queue_pkts));
+  p.a = star.senders[0];
+  p.b = star.sink;
   return p;
 }
 
@@ -261,14 +254,10 @@ TEST(SackEndToEnd, DctcpWithSackCompletes) {
 
 TEST(SackEndToEnd, CleanPathNoSackBlocksNoRetransmissions) {
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& a = net.add_host("a");
-  auto& b = net.add_host("b");
-  const auto q = queue::drop_tail(0, 0);
-  net.attach_host(a, sw, units::gbps(1), 25e-6, q, q);
-  net.attach_host(b, sw, units::mbps(100), 25e-6, q, q);
-  net.build_routes();
-  tcp::Connection conn(net, a, b, sack_cfg(), 300);
+  const sim::Star star =
+      sim::build_star(net, {1, units::mbps(100), units::gbps(1), 25e-6},
+                      queue::drop_tail(0, 0));
+  tcp::Connection conn(net, *star.senders[0], *star.sink, sack_cfg(), 300);
   conn.start_at(0.0);
   net.sim().run();
   EXPECT_TRUE(conn.sender().completed());

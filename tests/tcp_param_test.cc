@@ -7,7 +7,7 @@
 #include <tuple>
 
 #include "queue/factory.h"
-#include "sim/network.h"
+#include "sim/star.h"
 #include "tcp/connection.h"
 
 namespace dtdctcp {
@@ -42,19 +42,11 @@ TEST_P(TcpTransferSweep, DeliversEverySegmentExactlyOnce) {
   const TransferCase& tc = GetParam();
 
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& a = net.add_host("a");
-  auto& b = net.add_host("b");
-  const auto q = queue::drop_tail(0, 0);
   // Marking queue so ECN modes actually exercise their reaction path.
-  const auto bneck =
-      tc.bottleneck_queue_pkts == 0
-          ? queue::ecn_threshold(0, 0, 20.0, queue::ThresholdUnit::kPackets)
-          : queue::ecn_threshold(0, tc.bottleneck_queue_pkts, 20.0,
-                                 queue::ThresholdUnit::kPackets);
-  net.attach_host(a, sw, units::gbps(1), 25e-6, q, q);
-  net.attach_host(b, sw, units::mbps(200), 25e-6, q, bneck);
-  net.build_routes();
+  const sim::Star star = sim::build_star(
+      net, {1, units::mbps(200), units::gbps(1), 25e-6},
+      queue::ecn_threshold(0, tc.bottleneck_queue_pkts, 20.0,
+                           queue::ThresholdUnit::kPackets));
 
   tcp::TcpConfig cfg;
   cfg.mode = tc.mode;
@@ -62,7 +54,7 @@ TEST_P(TcpTransferSweep, DeliversEverySegmentExactlyOnce) {
   cfg.min_rto = 0.01;
   cfg.init_rto = 0.01;
 
-  tcp::Connection conn(net, a, b, cfg, tc.segments);
+  tcp::Connection conn(net, *star.senders[0], *star.sink, cfg, tc.segments);
   conn.start_at(0.0);
   net.sim().run();
 
@@ -107,19 +99,11 @@ class TcpFanInSweep : public ::testing::TestWithParam<int> {};
 TEST_P(TcpFanInSweep, AllFlowsCompleteAndNoneStarves) {
   const int flows = GetParam();
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& sink = net.add_host("sink");
-  const auto q = queue::drop_tail(0, 0);
-  net.attach_host(sink, sw, units::mbps(500), 25e-6, q,
-                  queue::ecn_threshold(0, 64, 20.0,
-                                       queue::ThresholdUnit::kPackets));
-  std::vector<sim::Host*> hosts;
-  for (int i = 0; i < flows; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
-    net.attach_host(h, sw, units::gbps(1), 25e-6, q, q);
-    hosts.push_back(&h);
-  }
-  net.build_routes();
+  const sim::Star star = sim::build_star(
+      net,
+      {static_cast<std::size_t>(flows), units::mbps(500), units::gbps(1),
+       25e-6},
+      queue::ecn_threshold(0, 64, 20.0, queue::ThresholdUnit::kPackets));
 
   tcp::TcpConfig cfg;
   cfg.mode = tcp::CcMode::kDctcp;
@@ -127,9 +111,9 @@ TEST_P(TcpFanInSweep, AllFlowsCompleteAndNoneStarves) {
   cfg.init_rto = 0.01;
   constexpr std::int64_t kSegs = 300;
   std::vector<std::unique_ptr<tcp::Connection>> conns;
-  for (auto* h : hosts) {
+  for (auto* h : star.senders) {
     conns.push_back(
-        std::make_unique<tcp::Connection>(net, *h, sink, cfg, kSegs));
+        std::make_unique<tcp::Connection>(net, *h, *star.sink, cfg, kSegs));
     conns.back()->start_at(0.0);
   }
   net.sim().run();
@@ -146,17 +130,9 @@ INSTANTIATE_TEST_SUITE_P(FanIn, TcpFanInSweep,
 // finishes (TCP-friendliness smoke, not a fairness theorem).
 TEST(TcpMixedModes, DctcpAndRenoCoexist) {
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& sink = net.add_host("sink");
-  auto& h1 = net.add_host("h1");
-  auto& h2 = net.add_host("h2");
-  const auto q = queue::drop_tail(0, 0);
-  net.attach_host(sink, sw, units::mbps(200), 25e-6, q,
-                  queue::ecn_threshold(0, 64, 20.0,
-                                       queue::ThresholdUnit::kPackets));
-  net.attach_host(h1, sw, units::gbps(1), 25e-6, q, q);
-  net.attach_host(h2, sw, units::gbps(1), 25e-6, q, q);
-  net.build_routes();
+  const sim::Star star = sim::build_star(
+      net, {2, units::mbps(200), units::gbps(1), 25e-6},
+      queue::ecn_threshold(0, 64, 20.0, queue::ThresholdUnit::kPackets));
 
   tcp::TcpConfig dctcp;
   dctcp.mode = tcp::CcMode::kDctcp;
@@ -167,8 +143,8 @@ TEST(TcpMixedModes, DctcpAndRenoCoexist) {
   reno.min_rto = 0.01;
   reno.init_rto = 0.01;
 
-  tcp::Connection c1(net, h1, sink, dctcp, 2000);
-  tcp::Connection c2(net, h2, sink, reno, 2000);
+  tcp::Connection c1(net, *star.senders[0], *star.sink, dctcp, 2000);
+  tcp::Connection c2(net, *star.senders[1], *star.sink, reno, 2000);
   c1.start_at(0.0);
   c2.start_at(0.0);
   net.sim().run();

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "queue/factory.h"
-#include "sim/network.h"
+#include "sim/star.h"
 #include "tcp/connection.h"
 
 namespace dtdctcp {
@@ -12,12 +12,11 @@ namespace {
 
 struct Path {
   sim::Network net;
-  sim::Switch* sw = nullptr;
+  sim::Star star;
   sim::Host* a = nullptr;
   sim::Host* b = nullptr;
-  std::size_t bneck_port = 0;  ///< switch egress toward b
 
-  sim::QueueDisc& bottleneck_disc() { return sw->port(bneck_port).disc(); }
+  sim::QueueDisc& bottleneck_disc() { return star.bottleneck().disc(); }
 };
 
 // One switch, sender a and sink b. The edge link (a -> switch) is faster
@@ -28,14 +27,9 @@ Path make_path(DataRate bottleneck = units::mbps(100),
                DataRate edge = units::gbps(1), SimTime leg = 25e-6,
                sim::QueueFactory bneck_factory = queue::drop_tail(0, 0)) {
   Path p;
-  p.sw = &p.net.add_switch("sw");
-  p.a = &p.net.add_host("a");
-  p.b = &p.net.add_host("b");
-  const auto q = queue::drop_tail(0, 0);
-  p.net.attach_host(*p.a, *p.sw, edge, leg, q, q);
-  p.bneck_port =
-      p.net.attach_host(*p.b, *p.sw, bottleneck, leg, q, bneck_factory);
-  p.net.build_routes();
+  p.star = sim::build_star(p.net, {1, bottleneck, edge, leg}, bneck_factory);
+  p.a = p.star.senders[0];
+  p.b = p.star.sink;
   return p;
 }
 
@@ -238,19 +232,13 @@ TEST(Tcp, DctcpWithDelayedAckStillEstimatesAlpha) {
 TEST(Tcp, TwoFlowsShareFairly) {
   // Two senders on separate hosts through a common bottleneck.
   sim::Network net;
-  auto& sw = net.add_switch("sw");
-  auto& a1 = net.add_host("a1");
-  auto& a2 = net.add_host("a2");
-  auto& b = net.add_host("b");
-  const auto q = queue::drop_tail(0, 0);
-  net.attach_host(a1, sw, units::gbps(1), 25e-6, q, q);
-  net.attach_host(a2, sw, units::gbps(1), 25e-6, q, q);
-  net.attach_host(b, sw, units::mbps(100), 25e-6, q, queue::drop_tail(0, 64));
-  net.build_routes();
+  const sim::Star star =
+      sim::build_star(net, {2, units::mbps(100), units::gbps(1), 25e-6},
+                      queue::drop_tail(0, 64));
 
   tcp::TcpConfig cfg = reno_config();
-  tcp::Connection c1(net, a1, b, cfg, 0);
-  tcp::Connection c2(net, a2, b, cfg, 0);
+  tcp::Connection c1(net, *star.senders[0], *star.sink, cfg, 0);
+  tcp::Connection c2(net, *star.senders[1], *star.sink, cfg, 0);
   c1.start_at(0.0);
   c2.start_at(0.001);
   net.sim().run_until(1.0);

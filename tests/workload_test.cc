@@ -3,7 +3,7 @@
 
 #include "core/testbed.h"
 #include "queue/factory.h"
-#include "sim/network.h"
+#include "sim/star.h"
 #include "workload/incast.h"
 #include "workload/long_lived.h"
 
@@ -12,25 +12,17 @@ namespace {
 
 struct Dumbbell {
   sim::Network net;
-  sim::Switch* sw = nullptr;
   std::vector<sim::Host*> senders;
   sim::Host* sink = nullptr;
 };
 
 Dumbbell make_dumbbell(std::size_t flows) {
   Dumbbell d;
-  d.sw = &d.net.add_switch("sw");
-  d.sink = &d.net.add_host("sink");
-  const auto q = queue::drop_tail(0, 0);
-  d.net.attach_host(*d.sink, *d.sw, units::gbps(1), 25e-6, q,
-                    queue::ecn_threshold(0, 100, 40.0,
-                                         queue::ThresholdUnit::kPackets));
-  for (std::size_t i = 0; i < flows; ++i) {
-    auto& h = d.net.add_host("s" + std::to_string(i));
-    d.net.attach_host(h, *d.sw, units::gbps(10), 25e-6, q, q);
-    d.senders.push_back(&h);
-  }
-  d.net.build_routes();
+  const sim::Star star = sim::build_star(
+      d.net, {.senders = flows},
+      queue::ecn_threshold(0, 100, 40.0, queue::ThresholdUnit::kPackets));
+  d.senders = star.senders;
+  d.sink = star.sink;
   return d;
 }
 
