@@ -8,22 +8,6 @@
 
 namespace dtdctcp::sim {
 
-void EventClosure::invoke() {
-  switch (kind_) {
-    case Kind::kEmpty:
-      break;
-    case Kind::kInline:
-    case Kind::kHeap:
-      ops_->invoke(buf_);
-      break;
-    case Kind::kDeliver: {
-      auto* d = std::launder(reinterpret_cast<DeliverPayload*>(buf_));
-      d->peer->receive(std::move(d->pkt));
-      break;
-    }
-  }
-}
-
 Simulator::~Simulator() {
   // Slots are placement-constructed into raw chunk storage; destroy the
   // ones that were ever handed out (free-listed slots hold an empty
@@ -52,6 +36,13 @@ void Simulator::release_slot(std::uint32_t slot) {
   ++s.gen;  // stale handles to this slot stop matching
   s.pos = free_head_;
   free_head_ = slot;
+}
+
+void Simulator::deliver_at(SimTime t, Node* peer, Packet pkt) {
+  auto deliver = [peer, pkt] { peer->receive(pkt); };
+  static_assert(EventClosure::kFitsInline<decltype(deliver)>,
+                "a packet delivery must not allocate");
+  at(t, std::move(deliver));
 }
 
 void Simulator::push_entry(SimTime t, std::uint32_t slot_bits) {
@@ -242,9 +233,48 @@ void Simulator::fire(HeapEntry e) {
   free_head_ = slot;
 }
 
-void Simulator::step() {
-  if (cursor_ < sorted_.size() &&
-      (heap_.empty() || earlier(sorted_[cursor_], heap_.front()))) {
+inline bool Simulator::pick() {
+  if (!pending_.empty()) flush_pending();
+  std::uint32_t src = kNoEvent;
+  SimTime time = 0.0;
+  std::uint32_t seq = 0;
+  const auto consider = [&](SimTime t, std::uint32_t s, std::uint32_t from) {
+    if (src == kNoEvent || t < time ||
+        (t == time && static_cast<std::int32_t>(s - seq) < 0)) {
+      src = from;
+      time = t;
+      seq = s;
+    }
+  };
+  if (!heap_.empty()) consider(heap_.front().time, heap_.front().seq, kHeapTop);
+  if (cursor_ < sorted_.size()) {
+    consider(sorted_[cursor_].time, sorted_[cursor_].seq, kSortedHead);
+  }
+  for (std::uint32_t i = 0; i < lane_count_; ++i) {
+    if (lanes_[i].ring.empty()) continue;
+    const LaneEntry& head = lanes_[i].ring.front();
+    consider(head.time, head.seq, i);
+  }
+  next_src_ = src;
+  next_time_ = time;
+  return src != kNoEvent;
+}
+
+inline void Simulator::pop() {
+  if (next_src_ < kLanes) {
+    // A lane delivery does what fire() does. The entry leaves the ring
+    // before the handler runs: the handler may append to the same lane
+    // and grow its ring.
+    util::RingBuffer<LaneEntry>& ring = lanes_[next_src_].ring;
+    const LaneEntry e = ring.front();
+    ring.pop_front();
+    now_ = e.time;
+    frontier_seq_ = e.seq;
+    ++processed_;
+    e.peer->receive(e.pkt);
+    return;
+  }
+  if (next_src_ == kSortedHead) {
     const HeapEntry e = sorted_[cursor_++];
     if (cursor_ < sorted_.size()) {
       // The drain order is known ahead of time; pull the next arena
@@ -270,57 +300,23 @@ void Simulator::step() {
 
 void Simulator::run() {
   stopped_ = false;
-  for (;;) {
-    if (!pending_.empty()) flush_pending();
-    if (stopped_ || (heap_.empty() && cursor_ == sorted_.size())) break;
-    step();
-  }
+  while (!stopped_ && pick()) pop();
   end_run();
 }
 
 SimTime Simulator::next_event_time() {
-  if (!pending_.empty()) flush_pending();
-  SimTime next = std::numeric_limits<SimTime>::infinity();
-  if (!heap_.empty()) next = heap_.front().time;
-  if (cursor_ < sorted_.size() && sorted_[cursor_].time < next) {
-    next = sorted_[cursor_].time;
-  }
-  return next;
+  return pick() ? next_time_ : std::numeric_limits<SimTime>::infinity();
 }
 
 void Simulator::run_window(SimTime end) {
   stopped_ = false;
-  for (;;) {
-    if (!pending_.empty()) flush_pending();
-    if (stopped_) break;
-    const bool have_sorted = cursor_ < sorted_.size();
-    if (heap_.empty()) {
-      if (!have_sorted || sorted_[cursor_].time >= end) break;
-    } else if (have_sorted) {
-      if (std::min(heap_.front().time, sorted_[cursor_].time) >= end) break;
-    } else if (heap_.front().time >= end) {
-      break;
-    }
-    step();
-  }
+  while (!stopped_ && pick() && next_time_ < end) pop();
   end_run();
 }
 
 void Simulator::run_until(SimTime t) {
   stopped_ = false;
-  for (;;) {
-    if (!pending_.empty()) flush_pending();
-    if (stopped_) break;
-    const bool have_sorted = cursor_ < sorted_.size();
-    if (heap_.empty()) {
-      if (!have_sorted || sorted_[cursor_].time > t) break;
-    } else if (have_sorted) {
-      if (std::min(heap_.front().time, sorted_[cursor_].time) > t) break;
-    } else if (heap_.front().time > t) {
-      break;
-    }
-    step();
-  }
+  while (!stopped_ && pick() && next_time_ <= t) pop();
   if (!stopped_ && now_ < t) now_ = t;
   end_run();
 }

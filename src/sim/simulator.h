@@ -5,16 +5,18 @@
 // pipelines deterministic. Because that order is a *total* order, the
 // kernel is free to organise its queue however it likes — every valid
 // arrangement pops in exactly the same sequence. It exploits that
-// freedom twice: plain (non-cancellable) events are appended to an
-// unsorted pending buffer in O(1) and bulk-merged into a 4-ary heap of
-// small 16-byte entries only when the run loop next needs the minimum;
-// payloads live out-of-line in a chunked, recycled slot arena with
-// stable addresses, so the steady-state hot path performs no heap
-// allocation and payloads never move once placed. Timers scheduled
-// through `timer_at` / `timer_after` return a generation-counted
-// `TimerHandle` and can be cancelled in O(log n) — a cancelled timer is
-// removed from the queue immediately instead of lingering until its
-// fire time.
+// freedom three times: plain (non-cancellable) events are appended to
+// an unsorted pending buffer in O(1) and bulk-merged into a 4-ary heap
+// of 32-byte entries only when the run loop next needs the minimum;
+// packet deliveries (`deliver_after`) skip the heap altogether and
+// join one FIFO *delay lane* per distinct delay, which is already in
+// (time, seq) order (see Lane); and payloads live out-of-line in a
+// chunked, recycled slot arena with stable addresses, so the
+// steady-state hot path performs no heap allocation and payloads never
+// move once placed. Timers scheduled through `timer_at` /
+// `timer_after` return a generation-counted `TimerHandle` and can be
+// cancelled in O(log n) — a cancelled timer is removed from the queue
+// immediately instead of lingering until its fire time.
 //
 // A caller may also take a place in the (time, seq) order before it
 // knows whether the event will be needed: `reserve_seq` hands out the
@@ -26,6 +28,8 @@
 // (see port.h).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -37,12 +41,12 @@
 #include <vector>
 
 #include "sim/packet.h"
+#include "util/ring_buffer.h"
 #include "util/units.h"
 
 namespace dtdctcp::sim {
 
 class Node;
-class Simulator;
 
 /// A place in the kernel's (time, seq) event order taken out ahead of
 /// scheduling (`Simulator::reserve_seq`). Opaque to its holders, so the
@@ -63,17 +67,12 @@ struct TimerHandle {
 
 /// Move-only type-erased `void()` closure with fixed inline storage.
 ///
-/// The inline capture budget is pinned to the port hot path: delivering a
-/// packet to a peer node (a `Node*` plus a `Packet` by value) must fit,
-/// so per-hop events never allocate. Larger captures fall back to the
-/// heap — acceptable for setup/teardown closures, never for per-packet
-/// ones (hot call sites static_assert `kFitsInline`).
-///
-/// The per-packet peer delivery is additionally stored as a *typed*
-/// payload — a tag plus raw fields — so the kernel dispatches it with a
-/// switch instead of an indirect call through an erased function
-/// pointer. (The other per-packet event, the transmitter release,
-/// captures one pointer and rides in the queue entry itself.)
+/// The inline capture budget is pinned to a packet delivery: a `Node*`
+/// plus a `Packet` by value must fit, so the deliveries that do not
+/// ride in a delay lane (cross-shard arrivals, lane overflow) never
+/// allocate. Larger captures fall back to the heap — acceptable for
+/// setup/teardown closures, never for per-packet ones (hot call sites
+/// static_assert `kFitsInline`).
 class EventClosure {
  public:
   static constexpr std::size_t kInlineBytes = sizeof(void*) + sizeof(Packet);
@@ -122,13 +121,6 @@ class EventClosure {
     }
   }
 
-  /// Typed fast-path payload (no type erasure; see Simulator).
-  void set_deliver(Node* peer, Packet&& pkt) {
-    assert(kind_ == Kind::kEmpty);
-    ::new (static_cast<void*>(buf_)) DeliverPayload{peer, std::move(pkt)};
-    kind_ = Kind::kDeliver;
-  }
-
   void reset() {
     if (kind_ == Kind::kInline || kind_ == Kind::kHeap) {
       // Trivially-destructible inline captures register a null destroy
@@ -142,26 +134,19 @@ class EventClosure {
   explicit operator bool() const { return kind_ != Kind::kEmpty; }
 
   /// Runs the payload (it stays constructed; callers reset() after).
-  /// Defined in simulator.cc — the typed case needs Node.
-  void invoke();
+  void invoke() { ops_->invoke(buf_); }
 
  private:
   enum class Kind : std::uint8_t {
     kEmpty,
     kInline,   ///< callable constructed in buf_
     kHeap,     ///< buf_ holds a pointer to a heap-allocated callable
-    kDeliver,  ///< typed: peer->receive(pkt)
   };
 
   struct Ops {
     void (*invoke)(void* buf);
     void (*relocate)(void* src, void* dst) noexcept;  // move-construct + destroy src
     void (*destroy)(void* buf) noexcept;              // null when trivial
-  };
-
-  struct DeliverPayload {
-    Node* peer;
-    Packet pkt;
   };
 
   template <typename D>
@@ -204,9 +189,6 @@ class EventClosure {
       case Kind::kHeap:
         std::memcpy(buf_, other.buf_, sizeof(void*));
         break;
-      case Kind::kDeliver:
-        std::memcpy(buf_, other.buf_, sizeof(DeliverPayload));
-        break;
     }
     other.kind_ = Kind::kEmpty;
     other.ops_ = nullptr;
@@ -217,13 +199,7 @@ class EventClosure {
   const Ops* ops_ = nullptr;
   Kind kind_ = Kind::kEmpty;
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
-
-  static_assert(std::is_trivially_copyable_v<Packet>,
-                "typed payloads are relocated with memcpy");
 };
-
-static_assert(sizeof(Packet) + sizeof(void*) <= EventClosure::kInlineBytes,
-              "the port packet-delivery payload must fit inline");
 
 class Simulator {
  public:
@@ -243,6 +219,8 @@ class Simulator {
         sorted_(std::move(other.sorted_)),
         cursor_(other.cursor_),
         scratch_(std::move(other.scratch_)),
+        lanes_(std::move(other.lanes_)),
+        lane_count_(other.lane_count_),
         chunks_(std::move(other.chunks_)),
         slot_count_(other.slot_count_),
         free_head_(other.free_head_) {
@@ -306,23 +284,28 @@ class Simulator {
   /// handle is reset either way.
   bool cancel(TimerHandle& h);
 
-  /// Typed fast path: delivers `pkt` to `peer` after `dt` (Port's
-  /// propagation event — dispatched without type erasure).
+  /// Delivers `pkt` to `peer` after `dt` (Port's propagation event).
+  /// The delivery joins the delay lane for `dt`, touching neither the
+  /// heap nor the arena; when no lane can take it (every lane busy with
+  /// another delay, or `t` ordering before the lane's tail) it takes
+  /// the `deliver_at` path at the same time and seq.
   void deliver_after(SimTime dt, Node* peer, Packet pkt) {
-    const std::uint32_t slot = acquire_slot();
-    slot_ref(slot).fn.set_deliver(peer, std::move(pkt));
-    defer_entry(now_ + dt, slot);
+    const SimTime t = clamp_time(now_ + dt);
+    Lane* lane = lane_for(std::bit_cast<std::uint64_t>(dt));
+    if (lane == nullptr ||
+        (!lane->ring.empty() && t < lane->ring.back().time)) {
+      deliver_at(t, peer, pkt);
+      return;
+    }
+    lane->ring.push_back(LaneEntry{t, next_seq_++, peer, pkt});
   }
 
-  /// Typed fast path at an absolute time: how cross-shard arrivals enter
-  /// a shard's queue (parsim mailbox drain). The timestamp was computed
-  /// on the sending shard; conservative lookahead guarantees it is never
-  /// in this shard's past, but clamp_time still applies as a backstop.
-  void deliver_at(SimTime t, Node* peer, Packet pkt) {
-    const std::uint32_t slot = acquire_slot();
-    slot_ref(slot).fn.set_deliver(peer, std::move(pkt));
-    defer_entry(t, slot);
-  }
+  /// Delivers `pkt` to `peer` at absolute time `t`, as an ordinary
+  /// closure event: how cross-shard arrivals enter a shard's queue
+  /// (parsim mailbox drain). The timestamp was computed on the sending
+  /// shard; conservative lookahead guarantees it is never in this
+  /// shard's past, but clamp_time still applies as a backstop.
+  void deliver_at(SimTime t, Node* peer, Packet pkt);
 
   /// Takes the seq the next scheduled event would get, for an event
   /// that may be scheduled later (or never) at that place in the order.
@@ -379,14 +362,14 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   std::uint64_t events_processed() const { return processed_; }
-  bool empty() const {
-    return heap_.empty() && pending_.empty() && cursor_ == sorted_.size();
-  }
+  bool empty() const { return queue_size() == 0; }
 
   /// Pending (live) events in the queue. Cancelled timers are removed
   /// eagerly, so a flow that re-arms its RTO holds exactly one slot.
   std::size_t queue_size() const {
-    return heap_.size() + pending_.size() + (sorted_.size() - cursor_);
+    std::size_t n = heap_.size() + pending_.size() + (sorted_.size() - cursor_);
+    for (std::uint32_t i = 0; i < lane_count_; ++i) n += lanes_[i].ring.size();
+    return n;
   }
 
   std::uint64_t timers_cancelled() const { return cancelled_; }
@@ -426,6 +409,33 @@ class Simulator {
   static constexpr bool kFitsEntry =
       sizeof(D) <= sizeof(HeapEntry::payload) && alignof(D) <= 8 &&
       std::is_trivially_copyable_v<D>;
+  // A delay lane: the pending deliveries scheduled with one delay, in
+  // schedule order. For a fixed dt, fl(now + dt) never decreases (the
+  // clock never runs backwards and IEEE-754 addition is monotone), and
+  // seqs only grow, so the ring is already in (time, seq) order and its
+  // front is its minimum. The packet travels inside the entry, so a
+  // delivery touches no arena slot when it is scheduled or when it
+  // fires. `key` is the bit pattern of the delay; a lane takes a new key
+  // only while empty, so no two lanes share one. Up to kLanes lanes are
+  // created on first use; the benchmark's workloads need at most 2
+  // (dumbbell), 6 per shard (fat-tree) and 3 (hybrid).
+  struct LaneEntry {
+    SimTime time;
+    std::uint32_t seq;
+    Node* peer;
+    Packet pkt;
+  };
+  struct Lane {
+    std::uint64_t key = 0;
+    util::RingBuffer<LaneEntry> ring;
+  };
+  static constexpr std::uint32_t kLanes = 8;
+  /// Where the earliest pending event sits (see pick): a lane index, or
+  /// one of these.
+  static constexpr std::uint32_t kHeapTop = kLanes;
+  static constexpr std::uint32_t kSortedHead = kLanes + 1;
+  static constexpr std::uint32_t kNoEvent = kLanes + 2;
+
   struct Slot {
     EventClosure fn;
     std::uint32_t gen = 0;
@@ -505,8 +515,30 @@ class Simulator {
     if (e.slot & kCancelBit) slot_ref(e.slot & ~kCancelBit).pos = pos;
   }
   bool sorted_drained() const { return cursor_ == sorted_.size(); }
+  /// The lane keyed `key`, else an empty lane re-keyed to it, else a new
+  /// lane; nullptr when all kLanes lanes hold other delays.
+  Lane* lane_for(std::uint64_t key) {
+    Lane* idle = nullptr;
+    for (std::uint32_t i = 0; i < lane_count_; ++i) {
+      Lane& lane = lanes_[i];
+      if (lane.key == key) return &lane;
+      if (idle == nullptr && lane.ring.empty()) idle = &lane;
+    }
+    if (idle == nullptr) {
+      if (lane_count_ == kLanes) return nullptr;
+      idle = &lanes_[lane_count_++];
+    }
+    idle->key = key;
+    return idle;
+  }
+  /// Finds the earliest pending event by (time, seq) among the heap top,
+  /// the sorted-run head and the lane heads, after flushing the pending
+  /// buffer. Returns false when the queue is empty; otherwise records
+  /// where the event sits and its time in next_src_ / next_time_.
+  bool pick();
+  /// Runs the event the last pick() found.
+  void pop();
   void fire(HeapEntry e);
-  void step();
   /// Closes a run: unless stop() cut it short, every seq handed out so
   /// far is passed at the final clock.
   void end_run() {
@@ -533,6 +565,10 @@ class Simulator {
   std::vector<HeapEntry> sorted_;
   std::size_t cursor_ = 0;
   std::vector<HeapEntry> scratch_;  ///< radix-sort double buffer, reused
+  std::array<Lane, kLanes> lanes_;
+  std::uint32_t lane_count_ = 0;  ///< lanes keyed so far
+  std::uint32_t next_src_ = kNoEvent;
+  SimTime next_time_ = 0.0;
   // Payload arena: fixed-size chunks of raw storage. Slots have stable
   // addresses (events run in place), growth never relocates pending
   // payloads, and a fresh chunk costs one allocation — slots are
