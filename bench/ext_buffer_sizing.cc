@@ -14,7 +14,7 @@
 //   * ext_buffer_sizing.csv  — plot-ready CSV
 //   * ext_buffer_sizing.json — bench::Report rows carrying p99_fct_s per
 //     cell, merged into BENCH_simcore by CI and gated by
-//     tools/bench_merge.py (>10% p99 FCT fails)
+//     tools/bench_merge.py (p99 FCT must match exactly)
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -15,7 +15,7 @@
 //   * ext_fabric_fct.csv  — plot-ready CSV (scenario vs FCT stats)
 //   * ext_fabric_fct.json — bench::Report rows carrying p99_fct_s per
 //     scenario, merged into BENCH_simcore by CI and gated by
-//     tools/bench_merge.py (>10% rise fails)
+//     tools/bench_merge.py (any change fails)
 #include <cstdio>
 #include <string>
 #include <vector>

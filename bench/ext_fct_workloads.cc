@@ -13,7 +13,7 @@
 //   * one <run>.metrics.{json,csv} registry dump per cell
 //   * ext_fct_workloads.json — bench::Report rows carrying p99_fct_s /
 //     mean_fct_s per cell, merged into BENCH_simcore by CI and gated by
-//     tools/bench_merge.py (>10% p99 FCT fails)
+//     tools/bench_merge.py (p99 FCT must match exactly)
 #include <cstdio>
 #include <string>
 #include <vector>

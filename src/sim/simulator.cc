@@ -1,7 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <bit>
 #include <limits>
 
 #include "sim/node.h"
@@ -43,115 +41,6 @@ void Simulator::deliver_at(SimTime t, Node* peer, Packet pkt) {
   static_assert(EventClosure::kFitsInline<decltype(deliver)>,
                 "a packet delivery must not allocate");
   at(t, std::move(deliver));
-}
-
-void Simulator::push_entry(SimTime t, std::uint32_t slot_bits) {
-  const auto pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{clamp_time(t), next_seq_++, slot_bits});
-  if (slot_bits & kCancelBit) slot_ref(slot_bits & ~kCancelBit).pos = pos;
-  sift_up(pos);
-}
-
-void Simulator::flush_pending() {
-  // Merging the unsorted pending buffer lazily yields the same pop
-  // sequence as immediate insertion: (time, seq) is a strict total
-  // order, so the drain order is fixed no matter how the queue stores
-  // its entries.
-  const std::size_t n = heap_.size();
-  const std::size_t p = pending_.size();
-  if (p <= 8 || p * 8 <= n) {
-    // Few new events (the steady state of a running simulation):
-    // ordinary heap pushes.
-    for (const HeapEntry& e : pending_) {
-      const auto pos = static_cast<std::uint32_t>(heap_.size());
-      heap_.push_back(e);
-      sift_up(pos);
-    }
-    pending_.clear();
-    return;
-  }
-  if (n * 8 > p) {
-    // Large batch into a large heap: append and rebuild bottom-up
-    // (Floyd), which is O(n) and streams memory instead of paying a
-    // random-access sift per element.
-    heap_.insert(heap_.end(), pending_.begin(), pending_.end());
-    pending_.clear();
-    heapify();
-    return;
-  }
-  // Large batch while the heap is (near-)empty — the "schedule the
-  // whole experiment, then run" shape. Sort once and drain by cursor;
-  // the few heap entries (timers) ride along as an overlay.
-  sort_pending();
-  if (sorted_drained()) {
-    sorted_.clear();
-    sorted_.swap(pending_);
-    cursor_ = 0;
-  } else {
-    // A sorted run is still draining: merge the two ascending runs.
-    std::vector<HeapEntry> merged;
-    merged.reserve(sorted_.size() - cursor_ + p);
-    std::merge(sorted_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-               sorted_.end(), pending_.begin(), pending_.end(),
-               std::back_inserter(merged), earlier);
-    sorted_.swap(merged);
-    cursor_ = 0;
-    pending_.clear();
-  }
-}
-
-// Stable LSD radix sort of pending_ on the raw time bits. Two facts
-// make this both exact and fast: (1) the buffer is appended in
-// insertion-sequence order, so a *stable* sort by time alone produces
-// exact (time, seq) order — no tie-break compares, and no wraparound
-// caveat on this path; (2) simulation times are non-negative doubles
-// (clamp_time pins negatives and normalises -0.0), whose IEEE-754 bit
-// patterns order identically to their values, so byte-wise counting
-// passes sort them like integers. Bytes that never differ across the
-// batch are skipped — setup bursts span narrow time ranges, so
-// typically only two or three of the eight passes run.
-void Simulator::sort_pending() {
-  const std::size_t n = pending_.size();
-  std::uint64_t all_or = 0;
-  std::uint64_t all_and = ~std::uint64_t{0};
-  for (const HeapEntry& e : pending_) {
-    const auto bits = std::bit_cast<std::uint64_t>(e.time);
-    all_or |= bits;
-    all_and &= bits;
-  }
-  const std::uint64_t diff = all_or ^ all_and;
-  if (diff == 0) return;  // all times equal: already in (time, seq) order
-  scratch_.resize(n);
-  std::vector<HeapEntry>* src = &pending_;
-  std::vector<HeapEntry>* dst = &scratch_;
-  for (unsigned shift = 0; shift < 64; shift += 8) {
-    if (((diff >> shift) & 0xff) == 0) continue;
-    std::size_t count[256] = {};
-    for (const HeapEntry& e : *src) {
-      ++count[(std::bit_cast<std::uint64_t>(e.time) >> shift) & 0xff];
-    }
-    std::size_t pos[256];
-    std::size_t total = 0;
-    for (std::size_t b = 0; b < 256; ++b) {
-      pos[b] = total;
-      total += count[b];
-    }
-    for (const HeapEntry& e : *src) {
-      (*dst)[pos[(std::bit_cast<std::uint64_t>(e.time) >> shift) & 0xff]++] =
-          e;
-    }
-    std::swap(src, dst);
-  }
-  if (src != &pending_) pending_.swap(scratch_);
-}
-
-void Simulator::heapify() {
-  const auto n = static_cast<std::uint32_t>(heap_.size());
-  if (n < 2) return;
-  for (std::uint32_t i = (n - 2) >> 2; ; --i) {
-    sift_down(i);
-    if (i == 0) break;
-  }
 }
 
 void Simulator::sift_up(std::uint32_t pos) {
@@ -234,7 +123,6 @@ void Simulator::fire(HeapEntry e) {
 }
 
 inline bool Simulator::pick() {
-  if (!pending_.empty()) flush_pending();
   std::uint32_t src = kNoEvent;
   SimTime time = 0.0;
   std::uint32_t seq = 0;
@@ -247,9 +135,6 @@ inline bool Simulator::pick() {
     }
   };
   if (!heap_.empty()) consider(heap_.front().time, heap_.front().seq, kHeapTop);
-  if (cursor_ < sorted_.size()) {
-    consider(sorted_[cursor_].time, sorted_[cursor_].seq, kSortedHead);
-  }
   for (std::uint32_t i = 0; i < lane_count_; ++i) {
     if (lanes_[i].ring.empty()) continue;
     const LaneEntry& head = lanes_[i].ring.front();
@@ -272,20 +157,6 @@ inline void Simulator::pop() {
     frontier_seq_ = e.seq;
     ++processed_;
     e.peer->receive(e.pkt);
-    return;
-  }
-  if (next_src_ == kSortedHead) {
-    const HeapEntry e = sorted_[cursor_++];
-    if (cursor_ < sorted_.size()) {
-      // The drain order is known ahead of time; pull the next arena
-      // payload toward the cache while this event runs.
-      const std::uint32_t nx = sorted_[cursor_].slot;
-      if (nx != kInlineSlot) __builtin_prefetch(&slot_ref(nx & ~kCancelBit));
-    } else {
-      sorted_.clear();
-      cursor_ = 0;
-    }
-    fire(e);
     return;
   }
   const HeapEntry top = heap_.front();

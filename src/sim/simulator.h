@@ -5,11 +5,9 @@
 // pipelines deterministic. Because that order is a *total* order, the
 // kernel is free to organise its queue however it likes — every valid
 // arrangement pops in exactly the same sequence. It exploits that
-// freedom three times: plain (non-cancellable) events are appended to
-// an unsorted pending buffer in O(1) and bulk-merged into a 4-ary heap
-// of 32-byte entries only when the run loop next needs the minimum;
-// packet deliveries (`deliver_after`) skip the heap altogether and
-// join one FIFO *delay lane* per distinct delay, which is already in
+// freedom twice: packet deliveries (`deliver_after`) skip the 4-ary
+// heap of 32-byte entries that holds every other event and join one
+// FIFO *delay lane* per distinct delay, which is already in
 // (time, seq) order (see Lane); and payloads live out-of-line in a
 // chunked, recycled slot arena with stable addresses, so the
 // steady-state hot path performs no heap allocation and payloads never
@@ -204,38 +202,11 @@ class EventClosure {
 class Simulator {
  public:
   Simulator() = default;
-  Simulator(const Simulator&) = delete;
-  Simulator& operator=(const Simulator&) = delete;
-  Simulator(Simulator&& other) noexcept
-      : now_(other.now_),
-        next_seq_(other.next_seq_),
-        processed_(other.processed_),
-        cancelled_(other.cancelled_),
-        past_clamps_(other.past_clamps_),
-        frontier_seq_(other.frontier_seq_),
-        stopped_(other.stopped_),
-        heap_(std::move(other.heap_)),
-        pending_(std::move(other.pending_)),
-        sorted_(std::move(other.sorted_)),
-        cursor_(other.cursor_),
-        scratch_(std::move(other.scratch_)),
-        lanes_(std::move(other.lanes_)),
-        lane_count_(other.lane_count_),
-        chunks_(std::move(other.chunks_)),
-        slot_count_(other.slot_count_),
-        free_head_(other.free_head_) {
-    // The source must not destroy the slots it no longer owns.
-    other.slot_count_ = 0;
-    other.free_head_ = TimerHandle::kInvalid;
-    other.cursor_ = 0;
-  }
-  Simulator& operator=(Simulator&& other) noexcept {
-    if (this != &other) {
-      this->~Simulator();
-      ::new (static_cast<void*>(this)) Simulator(std::move(other));
-    }
-    return *this;
-  }
+  // Pinned where it is built: every port and host of a Network holds a
+  // pointer to its simulator, so a moved simulator would leave them
+  // scheduling into the moved-from one.
+  Simulator(Simulator&&) = delete;
+  Simulator& operator=(Simulator&&) = delete;
   ~Simulator();
 
   /// Current simulation time in seconds.
@@ -249,12 +220,12 @@ class Simulator {
   void at(SimTime t, F&& fn) {
     using D = std::decay_t<F>;
     if constexpr (kFitsEntry<D>) {
-      pending_.push_back(make_inline_entry<D>(clamp_time(t), next_seq_++,
-                                              std::forward<F>(fn)));
+      push(make_inline_entry<D>(clamp_time(t), next_seq_++,
+                                std::forward<F>(fn)));
     } else {
       const std::uint32_t slot = acquire_slot();
       slot_ref(slot).fn.emplace(std::forward<F>(fn));
-      defer_entry(t, slot);
+      push(arena_entry(t, slot));
     }
   }
 
@@ -270,7 +241,7 @@ class Simulator {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slot_ref(slot);
     s.fn.emplace(std::forward<F>(fn));
-    push_entry(t, slot | kCancelBit);
+    push(arena_entry(t, slot | kCancelBit));
     return TimerHandle{slot, s.gen};
   }
   template <typename F>
@@ -323,18 +294,12 @@ class Simulator {
   /// Schedules `fn` at (t, s), a place reserved earlier and not yet
   /// passed. The capture must fit in the queue entry (one pointer, as
   /// for the port's transmitter release), so no arena slot is touched.
-  /// The entry goes straight into the heap: the pending buffer must
-  /// stay in seq order (see sort_pending), and a reserved seq is older
-  /// than the entries appended since.
   template <typename F>
   void at_reserved(SimTime t, ReservedSeq s, F&& fn) {
     using D = std::decay_t<F>;
     static_assert(kFitsEntry<D>, "reserved-seq events ride in the entry");
     assert(!passed(t, s) && "scheduling at a place already passed");
-    const auto pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(
-        make_inline_entry<D>(clamp_time(t), s.seq, std::forward<F>(fn)));
-    sift_up(pos);
+    push(make_inline_entry<D>(clamp_time(t), s.seq, std::forward<F>(fn)));
   }
 
   /// Runs until the event queue drains or stop() is called.
@@ -346,8 +311,7 @@ class Simulator {
   /// Absolute time of the earliest pending event, or +infinity when the
   /// queue is empty. This is the horizon query of the conservative
   /// parallel executor (parsim): the global safe window is
-  /// [min over shards of next_event_time(), +lookahead). Flushes the
-  /// unsorted pending buffer, so it is not const.
+  /// [min over shards of next_event_time(), +lookahead).
   SimTime next_event_time();
 
   /// Runs events with time strictly < `end` (the half-open safe window
@@ -367,7 +331,7 @@ class Simulator {
   /// Pending (live) events in the queue. Cancelled timers are removed
   /// eagerly, so a flow that re-arms its RTO holds exactly one slot.
   std::size_t queue_size() const {
-    std::size_t n = heap_.size() + pending_.size() + (sorted_.size() - cursor_);
+    std::size_t n = heap_.size();
     for (std::uint32_t i = 0; i < lane_count_; ++i) n += lanes_[i].ring.size();
     return n;
   }
@@ -403,8 +367,7 @@ class Simulator {
   static_assert(sizeof(HeapEntry) == 32);
 
   /// Captures storable directly in a queue entry. Trivial copyability
-  /// is required because entries relocate by memcpy during sorting and
-  /// sifting.
+  /// is required because entries relocate by memcpy during sifting.
   template <typename D>
   static constexpr bool kFitsEntry =
       sizeof(D) <= sizeof(HeapEntry::payload) && alignof(D) <= 8 &&
@@ -433,8 +396,7 @@ class Simulator {
   /// Where the earliest pending event sits (see pick): a lane index, or
   /// one of these.
   static constexpr std::uint32_t kHeapTop = kLanes;
-  static constexpr std::uint32_t kSortedHead = kLanes + 1;
-  static constexpr std::uint32_t kNoEvent = kLanes + 2;
+  static constexpr std::uint32_t kNoEvent = kLanes + 1;
 
   struct Slot {
     EventClosure fn;
@@ -471,20 +433,19 @@ class Simulator {
       t = now_;
       ++past_clamps_;
     }
-    // Normalise -0.0 to +0.0 so the bit pattern of a stored time orders
-    // like its value (see sort_pending); exact for every other input.
+    // Normalise -0.0 to +0.0 so the clock never reads -0.0; exact for
+    // every other input.
     return t + 0.0;
   }
 
-  /// O(1) append for non-cancellable arena events; flush_pending()
-  /// merges the buffer into the queue before the run loop next needs
-  /// the minimum.
-  void defer_entry(SimTime t, std::uint32_t slot) {
+  /// Builds an event whose payload lives in arena slot `slot_bits`
+  /// (with kCancelBit for a timer).
+  HeapEntry arena_entry(SimTime t, std::uint32_t slot_bits) {
     HeapEntry e;
     e.time = clamp_time(t);
     e.seq = next_seq_++;
-    e.slot = slot;
-    pending_.push_back(e);
+    e.slot = slot_bits;
+    return e;
   }
 
   /// Builds an in-entry event: the capture is constructed directly in
@@ -503,10 +464,12 @@ class Simulator {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void push_entry(SimTime t, std::uint32_t slot_bits);
-  void flush_pending();
-  void sort_pending();
-  void heapify();
+  /// Adds an entry to the heap (sift_up records a cancellable entry's
+  /// position in its slot).
+  void push(const HeapEntry& e) {
+    heap_.push_back(e);
+    sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
+  }
   void remove_at(std::uint32_t pos);
   void sift_up(std::uint32_t pos);
   void sift_down(std::uint32_t pos);
@@ -514,7 +477,6 @@ class Simulator {
     heap_[pos] = e;
     if (e.slot & kCancelBit) slot_ref(e.slot & ~kCancelBit).pos = pos;
   }
-  bool sorted_drained() const { return cursor_ == sorted_.size(); }
   /// The lane keyed `key`, else an empty lane re-keyed to it, else a new
   /// lane; nullptr when all kLanes lanes hold other delays.
   Lane* lane_for(std::uint64_t key) {
@@ -531,10 +493,10 @@ class Simulator {
     idle->key = key;
     return idle;
   }
-  /// Finds the earliest pending event by (time, seq) among the heap top,
-  /// the sorted-run head and the lane heads, after flushing the pending
-  /// buffer. Returns false when the queue is empty; otherwise records
-  /// where the event sits and its time in next_src_ / next_time_.
+  /// Finds the earliest pending event by (time, seq) among the heap top
+  /// and the lane heads. Returns false when the queue is empty;
+  /// otherwise records where the event sits and its time in next_src_ /
+  /// next_time_.
   bool pick();
   /// Runs the event the last pick() found.
   void pop();
@@ -555,16 +517,6 @@ class Simulator {
   std::uint32_t frontier_seq_ = 0;
   bool stopped_ = false;
   std::vector<HeapEntry> heap_;
-  std::vector<HeapEntry> pending_;
-  // Sorted-run fast path: a large pending batch arriving while the heap
-  // is (near-)empty — the "schedule everything, then run" shape of
-  // experiment setup — is sorted ascending once and drained by cursor.
-  // Sequential drain makes the *next* event known ahead of time, so its
-  // payload slot can be prefetched; a heap only learns its next minimum
-  // after the sift completes.
-  std::vector<HeapEntry> sorted_;
-  std::size_t cursor_ = 0;
-  std::vector<HeapEntry> scratch_;  ///< radix-sort double buffer, reused
   std::array<Lane, kLanes> lanes_;
   std::uint32_t lane_count_ = 0;  ///< lanes keyed so far
   std::uint32_t next_src_ = kNoEvent;

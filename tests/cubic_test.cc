@@ -10,26 +10,23 @@
 namespace dtdctcp {
 namespace {
 
+/// One sender `a` on a 1 Gbps edge into sink `b` behind `bottleneck`,
+/// built in place (a Network never moves).
 struct Path {
+  Path(DataRate bottleneck, const sim::QueueFactory& bneck) {
+    star = sim::build_star(net, {1, bottleneck, units::gbps(1), 25e-6},
+                           bneck);
+    a = star.senders[0];
+    b = star.sink;
+  }
+  Path(DataRate bottleneck, std::size_t queue_pkts)
+      : Path(bottleneck, queue::drop_tail(0, queue_pkts)) {}
+
   sim::Network net;
   sim::Star star;
   sim::Host* a = nullptr;
   sim::Host* b = nullptr;
 };
-
-/// One sender `a` on a 1 Gbps edge into sink `b` behind `bottleneck`.
-Path make_path(DataRate bottleneck, const sim::QueueFactory& bneck) {
-  Path p;
-  p.star = sim::build_star(p.net, {1, bottleneck, units::gbps(1), 25e-6},
-                           bneck);
-  p.a = p.star.senders[0];
-  p.b = p.star.sink;
-  return p;
-}
-
-Path make_path(DataRate bottleneck, std::size_t queue_pkts) {
-  return make_path(bottleneck, queue::drop_tail(0, queue_pkts));
-}
 
 tcp::TcpConfig cubic_cfg() {
   tcp::TcpConfig cfg;
@@ -40,7 +37,7 @@ tcp::TcpConfig cubic_cfg() {
 }
 
 TEST(Cubic, TransfersExactlyWithoutLoss) {
-  Path p = make_path(units::mbps(100), 0);
+  Path p(units::mbps(100), 0);
   tcp::Connection conn(p.net, *p.a, *p.b, cubic_cfg(), 300);
   conn.start_at(0.0);
   p.net.sim().run();
@@ -50,7 +47,7 @@ TEST(Cubic, TransfersExactlyWithoutLoss) {
 }
 
 TEST(Cubic, RecoversFromLossAndKeepsGoing) {
-  Path p = make_path(units::mbps(100), 12);
+  Path p(units::mbps(100), 12);
   tcp::Connection conn(p.net, *p.a, *p.b, cubic_cfg(), 2000);
   conn.start_at(0.0);
   p.net.sim().run();
@@ -60,7 +57,7 @@ TEST(Cubic, RecoversFromLossAndKeepsGoing) {
 }
 
 TEST(Cubic, SaturatesTheLink) {
-  Path p = make_path(units::mbps(100), 64);
+  Path p(units::mbps(100), 64);
   tcp::Connection conn(p.net, *p.a, *p.b, cubic_cfg(), 0);
   conn.start_at(0.0);
   p.net.sim().run_until(0.5);
@@ -71,15 +68,14 @@ TEST(Cubic, SaturatesTheLink) {
 
 TEST(Cubic, PacketsAreNotEct) {
   // CUBIC here is loss-based; its packets must not request ECN.
-  Path p = make_path(units::mbps(100), 0);
+  Path p(units::mbps(100), 0);
   tcp::Connection conn(p.net, *p.a, *p.b, cubic_cfg(), 50);
   conn.start_at(0.0);
   p.net.sim().run();
   // An ECN threshold queue would have marked ECT packets; rebuild with
   // one and verify zero marks.
-  Path p2 = make_path(
-      units::mbps(100),
-      queue::ecn_threshold(0, 0, 5.0, queue::ThresholdUnit::kPackets));
+  Path p2(units::mbps(100),
+          queue::ecn_threshold(0, 0, 5.0, queue::ThresholdUnit::kPackets));
   tcp::Connection c2(p2.net, *p2.a, *p2.b, cubic_cfg(), 200);
   c2.start_at(0.0);
   p2.net.sim().run();
@@ -90,7 +86,7 @@ TEST(Cubic, GrowthAcceleratesAwayFromWmax) {
   // After a loss event, the window plateaus near w_max then accelerates
   // (the convex tail of the cubic). Check the signature: growth in the
   // later half of an epoch exceeds growth in the middle.
-  Path p = make_path(units::mbps(200), 256);
+  Path p(units::mbps(200), 256);
   auto cfg = cubic_cfg();
   tcp::Connection conn(p.net, *p.a, *p.b, cfg, 0);
   conn.sender().enable_cwnd_trace();

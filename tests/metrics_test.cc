@@ -226,24 +226,24 @@ TEST(QueueMonitorExport, GaugesMatchTrackerValues) {
 
 // --- Per-flow lifecycle records from real simulations ---------------
 
+// Sender a and sink b on one switch, built in place (a Network never
+// moves).
 struct Path {
+  explicit Path(sim::QueueFactory bneck = queue::drop_tail(0, 0)) {
+    sw = &net.add_switch("sw");
+    a = &net.add_host("a");
+    b = &net.add_host("b");
+    const auto q = queue::drop_tail(0, 0);
+    net.attach_host(*a, *sw, units::gbps(1), 25e-6, q, q);
+    net.attach_host(*b, *sw, units::mbps(100), 25e-6, q, bneck);
+    net.build_routes();
+  }
+
   sim::Network net;
   sim::Switch* sw = nullptr;
   sim::Host* a = nullptr;
   sim::Host* b = nullptr;
 };
-
-Path make_path(sim::QueueFactory bneck = queue::drop_tail(0, 0)) {
-  Path p;
-  p.sw = &p.net.add_switch("sw");
-  p.a = &p.net.add_host("a");
-  p.b = &p.net.add_host("b");
-  const auto q = queue::drop_tail(0, 0);
-  p.net.attach_host(*p.a, *p.sw, units::gbps(1), 25e-6, q, q);
-  p.net.attach_host(*p.b, *p.sw, units::mbps(100), 25e-6, q, bneck);
-  p.net.build_routes();
-  return p;
-}
 
 tcp::TcpConfig dctcp_config() {
   tcp::TcpConfig cfg;
@@ -254,7 +254,7 @@ tcp::TcpConfig dctcp_config() {
 }
 
 TEST(FlowRecord, LifecycleTimestampsAreOrdered) {
-  Path p = make_path();
+  Path p;
   tcp::Connection conn(p.net, *p.a, *p.b, dctcp_config(), 200);
   conn.start_at(0.001);
   p.net.sim().run();
@@ -275,8 +275,7 @@ TEST(FlowRecord, LifecycleTimestampsAreOrdered) {
 TEST(FlowRecord, MarksSeenCountsEcnEchoes) {
   // A tight marking threshold on the bottleneck forces CE marks, which
   // come back to the sender as ECE acks.
-  Path p = make_path(
-      queue::ecn_threshold(0, 0, 5.0, queue::ThresholdUnit::kPackets));
+  Path p(queue::ecn_threshold(0, 0, 5.0, queue::ThresholdUnit::kPackets));
   tcp::Connection conn(p.net, *p.a, *p.b, dctcp_config(), 500);
   conn.start_at(0.0);
   p.net.sim().run();
@@ -287,7 +286,7 @@ TEST(FlowRecord, MarksSeenCountsEcnEchoes) {
 
 TEST(FlowRecord, DeadlineVerdicts) {
   // Generous deadline: met. Impossible deadline: missed.
-  Path met_path = make_path();
+  Path met_path;
   auto cfg = dctcp_config();
   cfg.mode = tcp::CcMode::kD2tcp;
   cfg.deadline = 10.0;
@@ -297,7 +296,7 @@ TEST(FlowRecord, DeadlineVerdicts) {
   EXPECT_TRUE(met.flow_record().deadline_met);
   EXPECT_DOUBLE_EQ(met.flow_record().deadline, 10.0);
 
-  Path miss_path = make_path();
+  Path miss_path;
   cfg.deadline = 1e-6;  // shorter than one propagation leg
   tcp::Connection miss(miss_path.net, *miss_path.a, *miss_path.b, cfg, 50);
   miss.start_at(0.0);

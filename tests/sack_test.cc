@@ -186,26 +186,25 @@ TEST(SackSender, RetransmitsExactlyTheHoles) {
 
 // --- end to end -----------------------------------------------------------
 
+// Built in place: a Network never moves.
 struct LossyPath {
+  explicit LossyPath(std::size_t queue_pkts) {
+    const sim::Star star =
+        sim::build_star(net, {1, units::mbps(50), units::gbps(1), 25e-6},
+                        queue::drop_tail(0, queue_pkts));
+    a = star.senders[0];
+    b = star.sink;
+  }
+
   sim::Network net;
   sim::Host* a = nullptr;
   sim::Host* b = nullptr;
 };
 
-LossyPath make_lossy_path(std::size_t queue_pkts) {
-  LossyPath p;
-  const sim::Star star =
-      sim::build_star(p.net, {1, units::mbps(50), units::gbps(1), 25e-6},
-                      queue::drop_tail(0, queue_pkts));
-  p.a = star.senders[0];
-  p.b = star.sink;
-  return p;
-}
-
 TEST(SackEndToEnd, SurvivesMultiLossBurstsWithoutTimeouts) {
   // A large initial burst into a tiny queue loses many segments of one
   // window; SACK recovers them all in about one RTT without RTO.
-  LossyPath p = make_lossy_path(6);
+  LossyPath p(6);
   auto cfg = sack_cfg();
   cfg.init_cwnd = 24.0;
   cfg.min_rto = 0.5;  // any timeout would dominate the completion time
@@ -221,7 +220,7 @@ TEST(SackEndToEnd, SurvivesMultiLossBurstsWithoutTimeouts) {
 
 TEST(SackEndToEnd, FasterThanNewRenoUnderMultiLoss) {
   auto run = [&](bool sack) {
-    LossyPath p = make_lossy_path(6);
+    LossyPath p(6);
     auto cfg = sack_cfg();
     cfg.sack_enabled = sack;
     cfg.init_cwnd = 24.0;
@@ -239,7 +238,7 @@ TEST(SackEndToEnd, FasterThanNewRenoUnderMultiLoss) {
 }
 
 TEST(SackEndToEnd, DctcpWithSackCompletes) {
-  LossyPath p = make_lossy_path(8);
+  LossyPath p(8);
   tcp::TcpConfig cfg;
   cfg.mode = tcp::CcMode::kDctcp;
   cfg.sack_enabled = true;

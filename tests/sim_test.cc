@@ -9,6 +9,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -214,11 +215,11 @@ TEST(Simulator, OnTimeSchedulesAreNotCountedAsClamps) {
   EXPECT_EQ(s.past_schedule_clamps(), 0u);
 }
 
-// --- (time, seq) determinism across internal queue shapes -------------
+// --- (time, seq) order for batches, in-entry captures and timers -------
 
 TEST(Simulator, LargeBatchPopsInTimeThenScheduleOrder) {
-  // A large up-front batch takes the kernel's sorted-run path; ties on
-  // time must still resolve by insertion order.
+  // A large up-front batch, the "schedule everything, then run" shape of
+  // experiment setup: ties on time must resolve by insertion order.
   sim::Simulator s;
   std::vector<std::pair<double, int>> expect;
   std::vector<int> order;
@@ -267,8 +268,8 @@ TEST(Simulator, SmallCapturesKeepOrderToo) {
 }
 
 TEST(Simulator, SchedulingDuringSortedDrainMergesInOrder) {
-  // A second large batch arriving while the first is still draining
-  // exercises the merge of a live sorted run with fresh events.
+  // A second large batch scheduled while the first is still draining
+  // must interleave with the first batch's remaining events by time.
   sim::Simulator s;
   std::vector<SimTime> times;
   for (int i = 0; i < 100; ++i) {
@@ -287,9 +288,9 @@ TEST(Simulator, SchedulingDuringSortedDrainMergesInOrder) {
 }
 
 TEST(Simulator, TimersInterleaveWithBatchedEventsInOrder) {
-  // Cancellable timers live in the heap while plain events may sit in
-  // the pending buffer or a sorted run; the pop order must interleave
-  // all three arrangements by (time, seq).
+  // Cancellable timers (whose arena slots mirror their heap position)
+  // and plain closures share the heap; the pop order must interleave
+  // them by (time, seq).
   sim::Simulator s;
   std::vector<int> order;
   std::vector<std::pair<double, int>> expect;
@@ -314,24 +315,12 @@ TEST(Simulator, TimersInterleaveWithBatchedEventsInOrder) {
   }
 }
 
-TEST(Simulator, MoveTransfersQueueAndHandlesStayValid) {
-  sim::Simulator a;
-  int fired = 0;
-  a.at(1.0, [&fired] { ++fired; });
-  auto h = a.timer_at(2.0, [&fired] { ++fired; });
-  sim::Simulator b(std::move(a));
-  EXPECT_TRUE(b.cancel(h));  // the handle follows the moved arena
-  b.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(b.now(), 1.0);
-}
-
 // --- reserved seqs ----------------------------------------------------
 
 TEST(Simulator, ReservedSeqPopsWhereItWasReserved) {
   // Equal-time events scheduled before and after the reservation; the
   // reserved event itself is scheduled later, from inside a handler,
-  // and must still pop between them (heap path: few pending entries).
+  // and must still pop between them.
   sim::Simulator s;
   std::vector<int> order;
   std::vector<int>* o = &order;
@@ -344,10 +333,9 @@ TEST(Simulator, ReservedSeqPopsWhereItWasReserved) {
 }
 
 TEST(Simulator, ReservedSeqKeepsItsPlaceInASortedRun) {
-  // More than 8 equal-time entries landing on a near-empty heap take
-  // flush_pending's sorted-run path; the reserved entry rides in the
-  // heap overlay and must interleave by seq. Once scheduled before the
-  // run (the batch is sorted around it) and once mid-drain.
+  // A reservation in the middle of a batch of equal-time events must
+  // pop between its neighbours by seq, both when it is scheduled before
+  // the run and when a handler schedules it mid-run.
   struct Cell {
     std::vector<int>* order;
     int id;
@@ -464,21 +452,37 @@ class ReferenceOrder {
     for (const SimTime dt : kOneOff) deliver(dt);
     for (SimTime end = 0.25; !sim_.empty(); end += 0.375) {
       sim_.run_until(end);
-      ASSERT_EQ(sim_.queue_size(), pending_.size()) << "end=" << end;
-      ASSERT_EQ(sim_.empty(), pending_.empty());
-      const SimTime next = pending_.empty()
-                               ? std::numeric_limits<SimTime>::infinity()
-                               : pending_.begin()->first;
-      ASSERT_EQ(sim_.next_event_time(), next);
+      ASSERT_NO_FATAL_FAILURE(check_queue()) << "end=" << end;
       ASSERT_LT(end, 1e3) << "the run does not drain";
     }
-    std::sort(scheduled_.begin(), scheduled_.end());
-    ASSERT_EQ(order_.size(), scheduled_.size());
-    for (std::size_t k = 0; k < order_.size(); ++k) {
-      ASSERT_EQ(order_[k], scheduled_[k].second) << "pop " << k;
-    }
+    check_order();
     EXPECT_GT(cancels_, 0u);
     EXPECT_GT(reserved_runs_, 0u);
+  }
+
+  // The shape of a parsim mailbox drain: before each run_window, a few
+  // hundred cross-shard arrivals (deliver_at) land inside the coming
+  // window [w, w + L) while the heap holds live timers far beyond it.
+  void run_windows() {
+    for (int k = 0; k < 64; ++k) {
+      const SimTime t = 1e3 + k;
+      const std::uint64_t id = add(t);
+      timers_.emplace_back(sim_.timer_at(t, [this, id] { fired(id); }), id);
+    }
+    constexpr SimTime kLookahead = 0.25;
+    for (SimTime w = 0.0; w < 4.0; w += kLookahead) {
+      for (auto n = 200 + rng_() % 200; n > 0; --n) {
+        const SimTime t =
+            w + kLookahead * static_cast<double>(rng_() % 64) / 64.0;
+        sim_.deliver_at(t, &probe_, tagged(add(t)));
+      }
+      ASSERT_NO_FATAL_FAILURE(check_queue()) << "drained at " << w;
+      sim_.run_window(w + kLookahead);
+      ASSERT_NO_FATAL_FAILURE(check_queue()) << "window end " << w + kLookahead;
+    }
+    sim_.run();
+    ASSERT_NO_FATAL_FAILURE(check_queue());
+    check_order();
   }
 
  private:
@@ -498,6 +502,23 @@ class ReferenceOrder {
     ReferenceOrder* owner;
     std::uint64_t id;
   };
+
+  void check_queue() {
+    ASSERT_EQ(sim_.queue_size(), pending_.size());
+    ASSERT_EQ(sim_.empty(), pending_.empty());
+    const SimTime next = pending_.empty()
+                             ? std::numeric_limits<SimTime>::infinity()
+                             : pending_.begin()->first;
+    ASSERT_EQ(sim_.next_event_time(), next);
+  }
+
+  void check_order() {
+    std::sort(scheduled_.begin(), scheduled_.end());
+    ASSERT_EQ(order_.size(), scheduled_.size());
+    for (std::size_t k = 0; k < order_.size(); ++k) {
+      ASSERT_EQ(order_[k], scheduled_[k].second) << "pop " << k;
+    }
+  }
 
   std::uint64_t add(SimTime t) {
     const std::uint64_t id = next_id_++;
@@ -619,6 +640,7 @@ TEST(Simulator, DeliveryLanesMatchAReferenceOrder) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 17u, 9001u}) {
     SCOPED_TRACE(seed);
     ReferenceOrder(seed).run();
+    ReferenceOrder(seed).run_windows();
   }
 }
 
@@ -652,21 +674,6 @@ TEST(Simulator, RunWindowLeavesALaneEventAtItsEnd) {
   EXPECT_EQ(received, 1);
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.now(), 1.0);
-}
-
-TEST(Simulator, MovedSimulatorKeepsPendingDeliveries) {
-  sim::Simulator a;
-  std::vector<std::uint64_t> order;
-  ProbeNode probe([&order](const sim::Packet& p) { order.push_back(p.uid); });
-  a.deliver_after(1.0, &probe, tagged(1));
-  a.at(1.5, [&order] { order.push_back(2); });
-  a.deliver_after(2.0, &probe, tagged(3));
-  a.deliver_after(1.0, &probe, tagged(4));
-  sim::Simulator b(std::move(a));
-  EXPECT_EQ(b.queue_size(), 4u);
-  b.run();
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 4, 2, 3}));
-  EXPECT_DOUBLE_EQ(b.now(), 2.0);
 }
 
 TEST(Simulator, StopInsideADeliveryKeepsPassedAtThatDelivery) {
@@ -915,6 +922,10 @@ class Collector : public sim::PacketSink {
   void deliver(sim::Packet pkt) override { packets.push_back(pkt); }
   std::vector<sim::Packet> packets;
 };
+
+// Every port and host points at its network's simulator, so a network
+// is built where it is used and never moved.
+static_assert(!std::is_move_constructible_v<sim::Network>);
 
 TEST(Network, HostToHostThroughOneSwitch) {
   sim::Network net;

@@ -29,34 +29,36 @@ class InvariantCheckEnv : public ::testing::Environment {
 [[maybe_unused]] const auto* const kInvariantCheckEnv =
     ::testing::AddGlobalTestEnvironment(new InvariantCheckEnv);
 
+// A random switch tree with hosts hanging off random switches, built in
+// place (a Network never moves). Tree topology guarantees reachability
+// through build_routes.
 struct RandomWorld {
+  explicit RandomWorld(Rng& rng);
+
   sim::Network net;
   std::vector<sim::Switch*> switches;
   std::vector<sim::Host*> hosts;
 };
 
-// Builds a random switch tree with hosts hanging off random switches.
-// Tree topology guarantees reachability through build_routes.
-RandomWorld build_world(Rng& rng) {
-  RandomWorld w;
+RandomWorld::RandomWorld(Rng& rng) {
   const int n_switches = static_cast<int>(rng.uniform_int(2, 4));
   const int n_hosts = static_cast<int>(rng.uniform_int(4, 10));
   const auto q = queue::drop_tail(0, 0);
 
   for (int i = 0; i < n_switches; ++i) {
-    w.switches.push_back(&w.net.add_switch("sw" + std::to_string(i)));
+    switches.push_back(&net.add_switch("sw" + std::to_string(i)));
     if (i > 0) {
       // Attach to a random earlier switch: a tree.
-      auto* parent = w.switches[static_cast<std::size_t>(
+      auto* parent = switches[static_cast<std::size_t>(
           rng.uniform_int(0, i - 1))];
-      w.net.connect_switches(*w.switches[i], *parent,
-                             units::gbps(rng.uniform_int(1, 10)),
-                             rng.uniform(1e-6, 50e-6), q, q);
+      net.connect_switches(*switches[i], *parent,
+                           units::gbps(rng.uniform_int(1, 10)),
+                           rng.uniform(1e-6, 50e-6), q, q);
     }
   }
   for (int i = 0; i < n_hosts; ++i) {
-    auto& h = w.net.add_host("h" + std::to_string(i));
-    auto* sw = w.switches[static_cast<std::size_t>(
+    auto& h = net.add_host("h" + std::to_string(i));
+    auto* sw = switches[static_cast<std::size_t>(
         rng.uniform_int(0, n_switches - 1))];
     // Random discipline on the switch-to-host egress.
     sim::QueueFactory disc;
@@ -78,19 +80,18 @@ RandomWorld build_world(Rng& rng) {
         break;
       }
     }
-    w.net.attach_host(h, *sw, units::gbps(rng.uniform_int(1, 10)),
-                      rng.uniform(1e-6, 50e-6), q, disc);
-    w.hosts.push_back(&h);
+    net.attach_host(h, *sw, units::gbps(rng.uniform_int(1, 10)),
+                    rng.uniform(1e-6, 50e-6), q, disc);
+    hosts.push_back(&h);
   }
-  w.net.build_routes();
-  return w;
+  net.build_routes();
 }
 
 class StressSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(StressSweep, RandomFlowsAllCompleteExactly) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
-  RandomWorld w = build_world(rng);
+  RandomWorld w(rng);
 
   struct FlowRec {
     std::unique_ptr<tcp::Connection> conn;

@@ -10,28 +10,27 @@
 namespace dtdctcp {
 namespace {
 
+// One switch, sender a and sink b. The edge link (a -> switch) is faster
+// than the bottleneck (switch -> b) so congestion forms at the switch,
+// as in the paper's topologies. `bneck_factory` installs the bottleneck
+// queue discipline (default: unlimited drop-tail). Built in place: a
+// Network never moves.
 struct Path {
+  explicit Path(DataRate bottleneck = units::mbps(100),
+                DataRate edge = units::gbps(1), SimTime leg = 25e-6,
+                sim::QueueFactory bneck_factory = queue::drop_tail(0, 0)) {
+    star = sim::build_star(net, {1, bottleneck, edge, leg}, bneck_factory);
+    a = star.senders[0];
+    b = star.sink;
+  }
+
+  sim::QueueDisc& bottleneck_disc() { return star.bottleneck().disc(); }
+
   sim::Network net;
   sim::Star star;
   sim::Host* a = nullptr;
   sim::Host* b = nullptr;
-
-  sim::QueueDisc& bottleneck_disc() { return star.bottleneck().disc(); }
 };
-
-// One switch, sender a and sink b. The edge link (a -> switch) is faster
-// than the bottleneck (switch -> b) so congestion forms at the switch,
-// as in the paper's topologies. `bneck_factory` installs the bottleneck
-// queue discipline (default: unlimited drop-tail).
-Path make_path(DataRate bottleneck = units::mbps(100),
-               DataRate edge = units::gbps(1), SimTime leg = 25e-6,
-               sim::QueueFactory bneck_factory = queue::drop_tail(0, 0)) {
-  Path p;
-  p.star = sim::build_star(p.net, {1, bottleneck, edge, leg}, bneck_factory);
-  p.a = p.star.senders[0];
-  p.b = p.star.sink;
-  return p;
-}
 
 tcp::TcpConfig reno_config() {
   tcp::TcpConfig cfg;
@@ -42,7 +41,7 @@ tcp::TcpConfig reno_config() {
 }
 
 TEST(Tcp, TransfersAllSegmentsExactlyOnceWithoutLoss) {
-  Path p = make_path();
+  Path p;
   tcp::Connection conn(p.net, *p.a, *p.b, reno_config(), 100);
   conn.start_at(0.0);
   p.net.sim().run();
@@ -54,7 +53,7 @@ TEST(Tcp, TransfersAllSegmentsExactlyOnceWithoutLoss) {
 }
 
 TEST(Tcp, CompletionCallbackFires) {
-  Path p = make_path();
+  Path p;
   tcp::Connection conn(p.net, *p.a, *p.b, reno_config(), 10);
   SimTime done_at = -1.0;
   conn.set_on_complete([&](SimTime t) { done_at = t; });
@@ -65,7 +64,7 @@ TEST(Tcp, CompletionCallbackFires) {
 }
 
 TEST(Tcp, SlowStartGrowsWindowExponentially) {
-  Path p = make_path(units::gbps(1), units::gbps(10));
+  Path p(units::gbps(1), units::gbps(10));
   tcp::TcpConfig cfg = reno_config();
   cfg.init_cwnd = 2.0;
   tcp::Connection conn(p.net, *p.a, *p.b, cfg, 0);
@@ -79,7 +78,7 @@ TEST(Tcp, SlowStartGrowsWindowExponentially) {
 TEST(Tcp, RttEstimateConvergesToPathRtt) {
   // Small transfer on a fast path: negligible queueing delay, so SRTT
   // must approach the 100 us propagation RTT.
-  Path p = make_path(units::gbps(10), units::gbps(10));
+  Path p(units::gbps(10), units::gbps(10));
   tcp::TcpConfig cfg = reno_config();
   cfg.max_cwnd = 8.0;  // keep self-queueing negligible
   tcp::Connection conn(p.net, *p.a, *p.b, cfg, 500);
@@ -92,8 +91,8 @@ TEST(Tcp, RttEstimateConvergesToPathRtt) {
 TEST(Tcp, FastRetransmitRecoversSingleLossWithoutTimeout) {
   // Tight bottleneck queue forces drops during slow start; dup ACKs must
   // recover them without any RTO.
-  Path p = make_path(units::mbps(100), units::gbps(1), 25e-6,
-                     queue::drop_tail(0, 8));
+  Path p(units::mbps(100), units::gbps(1), 25e-6,
+         queue::drop_tail(0, 8));
   tcp::TcpConfig cfg = reno_config();
   cfg.min_rto = 0.2;  // a timeout would be catastrophic and visible
   cfg.init_rto = 0.2;
@@ -118,8 +117,8 @@ TEST(Tcp, TimeoutRecoversFromTotalLossEpisode) {
   // 1-packet bottleneck queue and a large initial burst: most of the
   // first flight is lost; with almost no dup ACKs an RTO must fire and
   // the flow must still complete.
-  Path p = make_path(units::mbps(10), units::gbps(1), 25e-6,
-                     queue::drop_tail(0, 1));
+  Path p(units::mbps(10), units::gbps(1), 25e-6,
+         queue::drop_tail(0, 1));
   tcp::TcpConfig cfg = reno_config();
   cfg.init_cwnd = 64.0;
   cfg.min_rto = 0.01;
@@ -133,8 +132,8 @@ TEST(Tcp, TimeoutRecoversFromTotalLossEpisode) {
 }
 
 TEST(Tcp, LongLivedFlowSaturatesLink) {
-  Path p = make_path(units::mbps(100), units::gbps(1), 25e-6,
-                     queue::drop_tail(0, 100));
+  Path p(units::mbps(100), units::gbps(1), 25e-6,
+         queue::drop_tail(0, 100));
   tcp::Connection conn(p.net, *p.a, *p.b, reno_config(), 0);
   conn.start_at(0.0);
   p.net.sim().run_until(0.5);
@@ -146,9 +145,9 @@ TEST(Tcp, LongLivedFlowSaturatesLink) {
 TEST(Tcp, DctcpSenderKeepsQueueNearThreshold) {
   // Single DCTCP flow, K = 20 packets: the queue should hover around K
   // rather than filling the buffer.
-  Path p = make_path(units::mbps(100), units::gbps(1), 25e-6,
-                     queue::ecn_threshold(0, 0, 20.0,
-                                          queue::ThresholdUnit::kPackets));
+  Path p(units::mbps(100), units::gbps(1), 25e-6,
+         queue::ecn_threshold(0, 0, 20.0,
+                              queue::ThresholdUnit::kPackets));
   tcp::TcpConfig cfg;
   cfg.mode = tcp::CcMode::kDctcp;
   tcp::Connection conn(p.net, *p.a, *p.b, cfg, 0);
@@ -165,7 +164,7 @@ TEST(Tcp, DctcpSenderKeepsQueueNearThreshold) {
 }
 
 TEST(Tcp, DctcpAlphaDecaysToZeroWithoutMarks) {
-  Path p = make_path(units::gbps(1), units::gbps(10));
+  Path p(units::gbps(1), units::gbps(10));
   tcp::TcpConfig cfg;
   cfg.mode = tcp::CcMode::kDctcp;
   cfg.dctcp_init_alpha = 1.0;
@@ -177,9 +176,9 @@ TEST(Tcp, DctcpAlphaDecaysToZeroWithoutMarks) {
 }
 
 TEST(Tcp, EcnRenoReactsToMarksWithoutLoss) {
-  Path p = make_path(units::mbps(100), units::gbps(1), 25e-6,
-                     queue::ecn_threshold(0, 0, 20.0,
-                                          queue::ThresholdUnit::kPackets));
+  Path p(units::mbps(100), units::gbps(1), 25e-6,
+         queue::ecn_threshold(0, 0, 20.0,
+                              queue::ThresholdUnit::kPackets));
   tcp::TcpConfig cfg;
   cfg.mode = tcp::CcMode::kEcnReno;
   tcp::Connection conn(p.net, *p.a, *p.b, cfg, 0);
@@ -192,9 +191,9 @@ TEST(Tcp, EcnRenoReactsToMarksWithoutLoss) {
 
 TEST(Tcp, RenoIgnoresEcnMarksEntirely) {
   // Non-ECT packets pass an ECN queue unmarked.
-  Path p = make_path(units::mbps(100), units::gbps(1), 25e-6,
-                     queue::ecn_threshold(0, 0, 20.0,
-                                          queue::ThresholdUnit::kPackets));
+  Path p(units::mbps(100), units::gbps(1), 25e-6,
+         queue::ecn_threshold(0, 0, 20.0,
+                              queue::ThresholdUnit::kPackets));
   tcp::Connection conn(p.net, *p.a, *p.b, reno_config(), 0);
   conn.start_at(0.0);
   p.net.sim().run_until(0.1);
@@ -203,7 +202,7 @@ TEST(Tcp, RenoIgnoresEcnMarksEntirely) {
 }
 
 TEST(Tcp, DelayedAckCoalescesAndStillCompletes) {
-  Path p = make_path();
+  Path p;
   tcp::TcpConfig cfg = reno_config();
   cfg.delayed_ack = true;
   cfg.delack_segments = 2;
@@ -215,9 +214,9 @@ TEST(Tcp, DelayedAckCoalescesAndStillCompletes) {
 }
 
 TEST(Tcp, DctcpWithDelayedAckStillEstimatesAlpha) {
-  Path p = make_path(units::mbps(100), units::gbps(1), 25e-6,
-                     queue::ecn_threshold(0, 0, 10.0,
-                                          queue::ThresholdUnit::kPackets));
+  Path p(units::mbps(100), units::gbps(1), 25e-6,
+         queue::ecn_threshold(0, 0, 10.0,
+                              queue::ThresholdUnit::kPackets));
   tcp::TcpConfig cfg;
   cfg.mode = tcp::CcMode::kDctcp;
   cfg.delayed_ack = true;
@@ -252,7 +251,7 @@ TEST(Tcp, TwoFlowsShareFairly) {
 }
 
 TEST(Tcp, CwndTraceRecordsWhenEnabled) {
-  Path p = make_path();
+  Path p;
   tcp::Connection conn(p.net, *p.a, *p.b, reno_config(), 50);
   conn.sender().enable_cwnd_trace();
   conn.start_at(0.0);

@@ -10,21 +10,20 @@
 namespace dtdctcp {
 namespace {
 
+// Built in place: a Network never moves.
 struct Dumbbell {
+  explicit Dumbbell(std::size_t flows) {
+    const sim::Star star = sim::build_star(
+        net, {.senders = flows},
+        queue::ecn_threshold(0, 100, 40.0, queue::ThresholdUnit::kPackets));
+    senders = star.senders;
+    sink = star.sink;
+  }
+
   sim::Network net;
   std::vector<sim::Host*> senders;
   sim::Host* sink = nullptr;
 };
-
-Dumbbell make_dumbbell(std::size_t flows) {
-  Dumbbell d;
-  const sim::Star star = sim::build_star(
-      d.net, {.senders = flows},
-      queue::ecn_threshold(0, 100, 40.0, queue::ThresholdUnit::kPackets));
-  d.senders = star.senders;
-  d.sink = star.sink;
-  return d;
-}
 
 tcp::TcpConfig dctcp_cfg() {
   tcp::TcpConfig cfg;
@@ -33,7 +32,7 @@ tcp::TcpConfig dctcp_cfg() {
 }
 
 TEST(LongLivedGroup, AllFlowsMakeProgress) {
-  Dumbbell d = make_dumbbell(8);
+  Dumbbell d(8);
   workload::LongLivedGroup group(d.net, d.senders, *d.sink, dctcp_cfg(),
                                  0.001, 1);
   d.net.sim().run_until(0.1);
@@ -46,7 +45,7 @@ TEST(LongLivedGroup, AllFlowsMakeProgress) {
 }
 
 TEST(LongLivedGroup, MeanAlphaAveragesSenders) {
-  Dumbbell d = make_dumbbell(4);
+  Dumbbell d(4);
   workload::LongLivedGroup group(d.net, d.senders, *d.sink, dctcp_cfg(),
                                  0.0, 1);
   d.net.sim().run_until(0.05);
