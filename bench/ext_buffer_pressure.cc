@@ -44,7 +44,7 @@ Result run_kind(const queue::MarkingRule& elephant_marking) {
 
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < 8; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
+    auto& h = net.add_host(sim::numbered("h", i));
     net.attach_host(h, sw, units::gbps(1), 25e-6, q, q);
     hosts.push_back(&h);
   }

@@ -69,25 +69,24 @@ Clos wire_clos(const Wiring& w, const QueueFactory& switch_queue) {
   };
 
   for (std::size_t c = 0; c < s.cores; ++c) {
-    out.cores.push_back(&net.add_switch("core" + std::to_string(c)));
+    out.cores.push_back(&net.add_switch(numbered("core", c)));
   }
   for (std::size_t p = 0; p < s.pods; ++p) {
-    const std::string pod = "p" + std::to_string(p) + "_";
+    const std::string pod = numbered("p", p) + "_";
     for (std::size_t j = 0; j < s.aggs_per_pod; ++j) {
-      out.aggs.push_back(&net.add_switch(pod + "agg" + std::to_string(j)));
+      out.aggs.push_back(&net.add_switch(numbered(pod + "agg", j)));
     }
     const std::span<Switch* const> uplinks =
         two_tier ? std::span<Switch* const>(out.cores)
                  : std::span<Switch* const>(out.aggs).last(s.aggs_per_pod);
     for (std::size_t e = 0; e < s.edges_per_pod; ++e) {
-      Switch& edge = net.add_switch(pod + "edge" + std::to_string(e));
+      Switch& edge = net.add_switch(numbered(pod + "edge", e));
       out.edges.push_back(&edge);
       // Uplinks first, so an edge's uplinks are its lowest ports and
       // each upper switch's edge-facing ports precede its own uplinks.
       for (Switch* up : uplinks) link(edge, *up, w.edge_up, edge_tier);
       for (std::size_t h = 0; h < s.hosts_per_edge; ++h) {
-        Host& host = net.add_host(pod + "e" + std::to_string(e) + "_h" +
-                                  std::to_string(h));
+        Host& host = net.add_host(numbered(numbered(pod + "e", e) + "_h", h));
         net.attach_host(host, edge, w.host.bps, w.host.delay, host_nic,
                         switch_queue);
         out.hosts.push_back(&host);

@@ -1,9 +1,11 @@
 #include "sim/network.h"
 
+#include <algorithm>
 #include <cassert>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <span>
 #include <utility>
 
 namespace dtdctcp::sim {
@@ -52,71 +54,161 @@ std::pair<std::size_t, std::size_t> Network::connect_switches(
 
 void Network::rebuild_routes(const PortFilter& usable,
                              const SwitchFilter& write) {
-  // Shortest-path routing with equal-cost multipath: for every host H,
-  // a backward BFS over the switch graph yields each switch's distance
-  // to H; a port is a valid first hop when it leads to H directly or to
-  // a switch one step closer. All equal-cost ports are installed as an
-  // ECMP group (one-port groups degenerate to plain forwarding).
-  constexpr std::size_t kUnreachable = static_cast<std::size_t>(-1);
-  const auto port_ok = [&](Switch* sw, std::size_t p) {
-    return usable == nullptr || usable(*sw, p);
+  // Shortest-path routing with equal-cost multipath. A switch's group
+  // for host H is every usable port that leads to H directly (on an
+  // attachment switch of H) or to a switch one hop closer to H, in
+  // ascending order; one-port groups degenerate to plain forwarding.
+  //
+  // The distances to H depend only on H's seeds, the switches with a
+  // usable port to H, so hosts with the same seeds (every host behind
+  // one edge switch) share one multi-source backward BFS, and away from
+  // the seeds one group per switch. The topology is read once into a
+  // dense view: ports numbered switch by switch, each peer looked up in
+  // the node table, each filter evaluated once.
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t n_sw = switches_.size();
+  const std::size_t n_host = hosts_.size();
+
+  std::vector<std::uint32_t> sw_index(nodes_.size(), kNone);
+  std::vector<std::uint32_t> host_index(nodes_.size(), kNone);
+  for (std::size_t s = 0; s < n_sw; ++s) {
+    sw_index[switches_[s]->id()] = static_cast<std::uint32_t>(s);
+  }
+  for (std::size_t h = 0; h < n_host; ++h) {
+    host_index[hosts_[h]->id()] = static_cast<std::uint32_t>(h);
+  }
+
+  struct PortView {
+    std::uint32_t owner;        // switch index
+    std::uint32_t peer_switch;  // switch index, or kNone
+    std::uint32_t peer_host;    // host index, or kNone
+    bool usable;
+  };
+  std::vector<std::uint32_t> first_port(n_sw + 1, 0);
+  for (std::size_t s = 0; s < n_sw; ++s) {
+    first_port[s + 1] =
+        first_port[s] + static_cast<std::uint32_t>(switches_[s]->port_count());
+  }
+  std::vector<PortView> ports(first_port[n_sw]);
+  std::vector<char> writes(n_sw);
+  std::vector<std::uint32_t> host_port_begin(n_host + 1, 0);
+  for (std::size_t s = 0; s < n_sw; ++s) {
+    Switch& sw = *switches_[s];
+    writes[s] = write == nullptr || write(sw);
+    if (writes[s]) sw.size_routes(nodes_.size());
+    for (std::size_t p = 0; p < sw.port_count(); ++p) {
+      Node* peer = sw.port(p).peer();
+      assert(peer != nullptr && "dangling port");
+      const NodeId id = peer->id();
+      const bool ours = id < nodes_.size() && nodes_[id].get() == peer;
+      PortView& v = ports[first_port[s] + p];
+      v.owner = static_cast<std::uint32_t>(s);
+      v.peer_switch = ours ? sw_index[id] : kNone;
+      v.peer_host = ours ? host_index[id] : kNone;
+      v.usable = usable == nullptr || usable(sw, p);
+      if (v.usable && v.peer_host != kNone) ++host_port_begin[v.peer_host + 1];
+    }
+  }
+
+  // Each host's usable direct ports (ascending), and from them its
+  // seeds (ascending, distinct).
+  for (std::size_t h = 0; h < n_host; ++h) {
+    host_port_begin[h + 1] += host_port_begin[h];
+  }
+  std::vector<std::uint32_t> host_ports(host_port_begin[n_host]);
+  {
+    std::vector<std::uint32_t> fill(host_port_begin.begin(),
+                                    host_port_begin.end() - 1);
+    for (std::uint32_t i = 0; i < ports.size(); ++i) {
+      if (ports[i].usable && ports[i].peer_host != kNone) {
+        host_ports[fill[ports[i].peer_host]++] = i;
+      }
+    }
+  }
+  std::vector<std::uint32_t> seed_begin(n_host + 1, 0);
+  std::vector<std::uint32_t> seeds;
+  seeds.reserve(host_ports.size());
+  for (std::size_t h = 0; h < n_host; ++h) {
+    for (std::uint32_t i = host_port_begin[h]; i < host_port_begin[h + 1];
+         ++i) {
+      const std::uint32_t owner = ports[host_ports[i]].owner;
+      if (seeds.size() == seed_begin[h] || seeds.back() != owner) {
+        seeds.push_back(owner);
+      }
+    }
+    seed_begin[h + 1] = static_cast<std::uint32_t>(seeds.size());
+  }
+  const auto seeds_of = [&](std::uint32_t h) {
+    return std::span<const std::uint32_t>(seeds).subspan(
+        seed_begin[h], seed_begin[h + 1] - seed_begin[h]);
   };
 
-  for (Host* dst : hosts_) {
-    std::unordered_map<NodeId, std::size_t> dist;  // switch id -> hops to dst
-    std::deque<Switch*> frontier;
+  // Hosts sorted by seeds, so each attachment set is one run.
+  std::vector<std::uint32_t> order(n_host);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return std::ranges::lexicographical_compare(seeds_of(a), seeds_of(b));
+  });
 
-    // Seed: switches with a port directly to the destination host.
-    for (Switch* sw : switches_) {
-      for (std::size_t p = 0; p < sw->port_count(); ++p) {
-        if (sw->port(p).peer() == dst && port_ok(sw, p)) {
-          dist[sw->id()] = 1;
-          frontier.push_back(sw);
-          break;
-        }
+  std::vector<std::uint32_t> dist(n_sw);  // hops to the set's hosts
+  std::vector<std::uint32_t> frontier;
+  frontier.reserve(n_sw);
+  std::vector<std::uint32_t> group;
+  for (std::size_t begin = 0, end = 0; begin < n_host; begin = end) {
+    const auto set_seeds = seeds_of(order[begin]);
+    end = begin + 1;
+    while (end < n_host &&
+           std::ranges::equal(seeds_of(order[end]), set_seeds)) {
+      ++end;
+    }
+    const std::span<const std::uint32_t> set(order.data() + begin,
+                                             end - begin);
+
+    // Backward BFS from the seeds. `usable` is symmetric per link, so
+    // filtering the outbound direction also keeps the BFS from
+    // discovering peers across a down link.
+    std::fill(dist.begin(), dist.end(), kNone);
+    frontier.assign(set_seeds.begin(), set_seeds.end());
+    for (std::uint32_t s : set_seeds) dist[s] = 1;
+    for (std::size_t f = 0; f < frontier.size(); ++f) {
+      const std::uint32_t s = frontier[f];
+      for (std::uint32_t i = first_port[s]; i < first_port[s + 1]; ++i) {
+        const std::uint32_t peer = ports[i].peer_switch;
+        if (peer == kNone || !ports[i].usable || dist[peer] != kNone) continue;
+        dist[peer] = dist[s] + 1;
+        frontier.push_back(peer);
       }
     }
-    while (!frontier.empty()) {
-      Switch* sw = frontier.front();
-      frontier.pop_front();
-      const std::size_t d = dist[sw->id()];
-      for (std::size_t p = 0; p < sw->port_count(); ++p) {
-        Node* peer = sw->port(p).peer();
-        assert(peer != nullptr && "dangling port");
-        auto* peer_sw = dynamic_cast<Switch*>(peer);
-        if (peer_sw == nullptr) continue;
-        // `usable` is symmetric per link, so filtering this direction
-        // also keeps the BFS from discovering peers across a down link.
-        if (!port_ok(sw, p)) continue;
-        if (dist.count(peer_sw->id())) continue;
-        dist[peer_sw->id()] = d + 1;
-        frontier.push_back(peer_sw);
-      }
-    }
 
-    for (Switch* sw : switches_) {
-      if (write != nullptr && !write(*sw)) continue;
-      const auto it = dist.find(sw->id());
-      const std::size_t d = it == dist.end() ? kUnreachable : it->second;
-      std::vector<std::size_t> group;
-      if (d != kUnreachable) {
-        for (std::size_t p = 0; p < sw->port_count(); ++p) {
-          if (!port_ok(sw, p)) continue;
-          Node* peer = sw->port(p).peer();
-          if (peer == dst && d == 1) {
-            group.push_back(p);
-            continue;
+    // Away from the seeds, one group per switch serves the whole set.
+    // Install unconditionally: an empty group CLEARS a stale entry, so
+    // an unreachable destination hits the counted unrouted-drop guard.
+    for (std::uint32_t s = 0; s < n_sw; ++s) {
+      if (!writes[s] || dist[s] == 1) continue;
+      group.clear();
+      if (dist[s] != kNone) {
+        for (std::uint32_t i = first_port[s]; i < first_port[s + 1]; ++i) {
+          const std::uint32_t peer = ports[i].peer_switch;
+          if (ports[i].usable && peer != kNone && dist[peer] == dist[s] - 1) {
+            group.push_back(i - first_port[s]);
           }
-          auto* peer_sw = dynamic_cast<Switch*>(peer);
-          if (peer_sw == nullptr) continue;
-          const auto pit = dist.find(peer_sw->id());
-          if (pit != dist.end() && pit->second + 1 == d) group.push_back(p);
         }
       }
-      // Install unconditionally: an empty group CLEARS any stale entry
-      // (the single-shot builder skipped unreachable destinations, which
-      // was correct only because nothing ever rebuilt).
-      sw->set_routes(dst->id(), std::move(group));
+      for (std::uint32_t h : set) {
+        switches_[s]->set_routes(hosts_[h]->id(), group);
+      }
+    }
+    // On a seed, a host's group is its own usable direct ports.
+    for (std::uint32_t h : set) {
+      for (std::uint32_t i = host_port_begin[h]; i < host_port_begin[h + 1];) {
+        const std::uint32_t s = ports[host_ports[i]].owner;
+        group.clear();
+        for (; i < host_port_begin[h + 1] && ports[host_ports[i]].owner == s;
+             ++i) {
+          group.push_back(host_ports[i] - first_port[s]);
+        }
+        if (writes[s]) switches_[s]->set_routes(hosts_[h]->id(), group);
+      }
     }
   }
 }

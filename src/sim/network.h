@@ -56,11 +56,11 @@ class Network {
   void build_routes() { rebuild_routes(nullptr, nullptr); }
 
   /// Recomputes routes honouring `usable` (null = every port usable)
-  /// and rewriting only switches accepted by `write` (null = all).
-  /// Unlike the historical single-shot build, a rebuild always installs
-  /// the group — including an EMPTY group when the destination became
-  /// unreachable — so stale pre-failure routes are cleared and packets
-  /// hit the counted unrouted-drop guard instead of a dead path.
+  /// and rewriting only switches accepted by `write` (null = all); each
+  /// filter is called once per switch port or switch. A rebuild always
+  /// installs the group — including an EMPTY group when the destination
+  /// became unreachable — so stale pre-failure routes are cleared and
+  /// packets hit the counted unrouted-drop guard instead of a dead path.
   void rebuild_routes(const PortFilter& usable, const SwitchFilter& write);
 
   /// Allocates a unique flow id.

@@ -1,11 +1,20 @@
 // Node interface: anything that can terminate a link.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "sim/packet.h"
 
 namespace dtdctcp::sim {
+
+/// `prefix` followed by `n` in decimal, for numbered node names. It
+/// appends: GCC 12 misreports `"h" + std::to_string(n)`, which inserts
+/// at the front of the temporary, under -Wrestrict in optimised builds.
+inline std::string numbered(std::string prefix, std::size_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
 
 class Node {
  public:

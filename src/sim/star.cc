@@ -20,7 +20,7 @@ Star build_star(Network& net, const StarConfig& cfg,
                                          bottleneck);
   star.senders.reserve(cfg.senders);
   for (std::size_t i = 0; i < cfg.senders; ++i) {
-    Host& h = net.add_host("h" + std::to_string(i));
+    Host& h = net.add_host(numbered("h", i));
     net.attach_host(h, *star.sw, cfg.edge_bps, cfg.leg, nic, ack);
     star.senders.push_back(&h);
   }

@@ -7,17 +7,9 @@
 
 namespace dtdctcp::sim {
 
-void Switch::set_route(NodeId dst, std::size_t port_index) {
-  set_routes(dst, {port_index});
-}
-
-void Switch::set_routes(NodeId dst, std::vector<std::size_t> port_indices) {
+void Switch::set_routes(NodeId dst, std::span<const std::uint32_t> ports) {
   if (routes_.size() <= dst) routes_.resize(dst + 1);
-  routes_[dst].clear();
-  routes_[dst].reserve(port_indices.size());
-  for (std::size_t p : port_indices) {
-    routes_[dst].push_back(static_cast<std::uint32_t>(p));
-  }
+  routes_[dst].assign(ports.begin(), ports.end());
 }
 
 void Switch::receive(Packet pkt) {

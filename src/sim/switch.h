@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/node.h"
@@ -24,13 +25,25 @@ class Switch final : public Node {
   Port& port(std::size_t i) { return *ports_[i]; }
   std::size_t port_count() const { return ports_.size(); }
 
-  /// Installs `dst -> egress port` (static routing, built by Network).
-  void set_route(NodeId dst, std::size_t port_index);
+  /// Sizes the route table for destination ids below `n` in one step.
+  /// Network calls it before installing a rebuild's groups, so a table
+  /// is allocated once at its final size instead of grown by doubling.
+  void size_routes(std::size_t n) {
+    if (routes_.size() < n) routes_.resize(n);
+  }
 
-  /// Installs an equal-cost group for `dst`; the egress port is chosen
-  /// per flow by a deterministic hash (packets of one flow always take
-  /// the same path, like real ECMP).
-  void set_routes(NodeId dst, std::vector<std::size_t> port_indices);
+  /// Installs an equal-cost group for `dst` (static routing, built by
+  /// Network); the egress port is chosen per flow by a deterministic
+  /// hash (packets of one flow always take the same path, like real
+  /// ECMP). An empty group clears the route. Reuses the entry's storage,
+  /// so re-installing a group no larger than before allocates nothing.
+  void set_routes(NodeId dst, std::span<const std::uint32_t> ports);
+
+  /// The installed group for `dst` (empty when there is no route).
+  std::span<const std::uint32_t> route(NodeId dst) const {
+    if (dst >= routes_.size()) return {};
+    return routes_[dst];
+  }
 
   /// Forwards to the routed egress port; packets without a route are
   /// counted and discarded (misconfiguration guard, never silent).

@@ -247,7 +247,9 @@ TEST(FatTree, PolarizedEcmpCollapsesEachAggToOneUplink) {
     for (std::size_t port : core_uplinks(ft, agg)) {
       agg_traffic += agg->port(port).packets_sent();
     }
-    if (agg_traffic > 0) EXPECT_EQ(per_agg[j], 1);
+    if (agg_traffic > 0) {
+      EXPECT_EQ(per_agg[j], 1);
+    }
   }
   EXPECT_LE(total_used, 2);
 }
@@ -590,7 +592,7 @@ TEST(SharedPool, DynamicThresholdShieldsVictimPortUnderFabricIncast) {
 
     std::vector<sim::Host*> senders;
     for (int i = 0; i < 4; ++i) {
-      auto& h = net.add_host("s" + std::to_string(i));
+      auto& h = net.add_host(sim::numbered("s", i));
       net.attach_host(h, leaf0, units::gbps(10), 2e-6, plain, plain);
       senders.push_back(&h);
     }

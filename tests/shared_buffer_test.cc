@@ -203,7 +203,7 @@ TEST(SharedBufferPool, BufferPressureEndToEnd) {
 
     std::vector<sim::Host*> sources;
     for (int i = 0; i < 6; ++i) {
-      auto& h = net.add_host("h" + std::to_string(i));
+      auto& h = net.add_host(sim::numbered("h", i));
       net.attach_host(h, sw, units::gbps(1), 25e-6, q, q);
       sources.push_back(&h);
     }

@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -1024,6 +1025,81 @@ TEST(Network, UnboundFlowAtHostCounted) {
   a.send(pkt);
   net.sim().run();
   EXPECT_EQ(b.unbound_drops(), 1u);
+}
+
+TEST(Network, RebindingAFlowReplacesItsSink) {
+  sim::Network net;
+  auto& sw = net.add_switch("sw");
+  auto& a = net.add_host("a");
+  auto& b = net.add_host("b");
+  const auto q = queue::drop_tail(0, 0);
+  net.attach_host(a, sw, units::gbps(1), 1e-6, q, q);
+  net.attach_host(b, sw, units::gbps(1), 1e-6, q, q);
+  net.build_routes();
+  sim::Packet pkt;
+  pkt.flow = 5;
+  pkt.src = a.id();
+  pkt.dst = b.id();
+  pkt.size_bytes = 100;
+
+  Collector first;
+  Collector second;
+  b.bind_flow(5, &first);
+  b.bind_flow(5, &second);
+  a.send(pkt);
+  net.sim().run();
+  EXPECT_TRUE(first.packets.empty());
+  EXPECT_EQ(second.packets.size(), 1u);
+
+  b.unbind_flow(5);
+  a.send(pkt);
+  net.sim().run();
+  EXPECT_EQ(second.packets.size(), 1u);
+  EXPECT_EQ(b.unbound_drops(), 1u);
+}
+
+TEST(FlowTable, MatchesAnOrderedMapThroughBindUnbindChurn) {
+  std::vector<Collector> sinks(4);
+  sim::FlowTable table;
+  std::map<sim::FlowId, sim::PacketSink*> want;
+  std::set<sim::FlowId> seen;
+  const auto bind = [&](sim::FlowId flow, sim::PacketSink* sink) {
+    table.insert(flow, sink);
+    want[flow] = sink;
+    seen.insert(flow);
+  };
+  const auto check = [&](const char* step) {
+    EXPECT_EQ(table.size(), want.size()) << step;
+    for (sim::FlowId flow : seen) {
+      const auto it = want.find(flow);
+      EXPECT_EQ(table.find(flow), it == want.end() ? nullptr : it->second)
+          << step << ", flow " << flow;
+    }
+  };
+
+  for (sim::FlowId flow : {0u, 1u, 4242u, 0xffffffffu}) bind(flow, &sinks[0]);
+  seen.insert(2);  // never bound
+  check("edge ids");
+
+  // Consecutive ids, as Network::new_flow hands them out, then ids that
+  // differ only in their high bits.
+  std::vector<sim::FlowId> many;
+  for (sim::FlowId i = 0; i < 500; ++i) many.push_back(1000 + i);
+  for (sim::FlowId i = 1; i <= 500; ++i) many.push_back(i << 20);
+  for (std::size_t i = 0; i < many.size(); ++i) bind(many[i], &sinks[i % 4]);
+  check("1,000 binds");
+
+  for (std::size_t i = 0; i < many.size(); i += 2) {
+    table.erase(many[i]);
+    want.erase(many[i]);
+  }
+  table.erase(3);  // never bound: a no-op
+  check("every other one unbound");
+
+  bind(many[0], &sinks[1]);   // unbound, bound again
+  bind(many[1], &sinks[3]);   // still bound, overwritten
+  bind(4242, &sinks[2]);
+  check("rebinds");
 }
 
 TEST(Network, FlowIdsAreUnique) {

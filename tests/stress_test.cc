@@ -57,7 +57,7 @@ RandomWorld::RandomWorld(Rng& rng) {
     }
   }
   for (int i = 0; i < n_hosts; ++i) {
-    auto& h = net.add_host("h" + std::to_string(i));
+    auto& h = net.add_host(sim::numbered("h", i));
     auto* sw = switches[static_cast<std::size_t>(
         rng.uniform_int(0, n_switches - 1))];
     // Random discipline on the switch-to-host egress.

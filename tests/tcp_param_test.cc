@@ -31,8 +31,10 @@ std::string case_name(const ::testing::TestParamInfo<TransferCase>& info) {
     case tcp::CcMode::kCubic: s += "Cubic"; break;
   }
   s += p.delayed_ack ? "Delack" : "Immediate";
-  s += "Segs" + std::to_string(p.segments);
-  s += "Q" + std::to_string(p.bottleneck_queue_pkts);
+  s += "Segs";
+  s += std::to_string(p.segments);
+  s += "Q";
+  s += std::to_string(p.bottleneck_queue_pkts);
   return s;
 }
 

@@ -6,8 +6,7 @@
 //   dtdctcp_cli nyquist  --rtt-ms 1 --flows 80 --marking dt:30,50
 //   dtdctcp_cli fluid    --flows 80 --rtt-ms 1 --marking dctcp:40
 //   dtdctcp_cli fct      --load 0.6 --marking dt:15,25 --duration 0.5
-//   dtdctcp_cli sweep    --from 10 --to 100 --step 5 --marking dt:30,50 \
-//                        --jobs 8
+//   dtdctcp_cli sweep    --from 10 --to 100 --marking dt:30,50 --jobs 8
 //
 // Marking syntax: one queue::MarkingRule label (queue/marking_rule.h),
 // e.g. "dt:30,50,variant=half-band"; --unit bytes appends ",unit=bytes".
