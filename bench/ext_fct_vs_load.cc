@@ -50,17 +50,20 @@ Result run_load(double load, bool dt) {
   cfg.duration = bench::scaled(1.0, 0.2);
   cfg.seed = 11;
 
+  tcp::FlowMetricsCollector collector(cfg.small_cutoff_segments,
+                                      cfg.large_cutoff_segments);
   workload::PoissonFlowGenerator gen(*fab.net, fab.hosts, fab.hosts,
                                      tcp_cfg, cfg);
+  gen.set_collector(&collector);
   gen.start(0.0);
   fab.net->sim().run();
 
   Result r;
-  r.small_mean_ms = gen.fct_small().mean() * 1e3;
-  r.small_p99_ms = gen.fct_small().p99() * 1e3;
-  r.large_mean_ms = gen.fct_large().mean() * 1e3;
+  r.small_mean_ms = collector.fct_small().mean() * 1e3;
+  r.small_p99_ms = collector.fct_small().p99() * 1e3;
+  r.large_mean_ms = collector.fct_large().mean() * 1e3;
   r.flows = gen.flows_completed();
-  r.timeouts = gen.total_timeouts();
+  r.timeouts = collector.timeouts();
   return r;
 }
 

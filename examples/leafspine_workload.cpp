@@ -56,23 +56,26 @@ int main(int argc, char** argv) {
   std::printf("offered: %.0f flows/s (mean size %.0f segments)\n",
               wl.arrivals_per_sec, wl.sizes.mean_segments());
 
+  tcp::FlowMetricsCollector collector(wl.small_cutoff_segments,
+                                      wl.large_cutoff_segments);
   workload::PoissonFlowGenerator gen(*fab.net, fab.hosts, fab.hosts,
                                      tcp_cfg, wl);
+  gen.set_collector(&collector);
   gen.start(0.0);
   fab.net->sim().run();
 
   std::printf("\nflows: %zu started, %zu completed, %llu timeouts\n",
               gen.flows_started(), gen.flows_completed(),
-              static_cast<unsigned long long>(gen.total_timeouts()));
+              static_cast<unsigned long long>(collector.timeouts()));
   std::printf("%-12s %10s %10s %10s %10s\n", "bucket", "count", "mean_ms",
               "p99_ms", "max_ms");
   auto row = [](const char* name, stats::PercentileTracker& t) {
     std::printf("%-12s %10zu %10.2f %10.2f %10.2f\n", name, t.count(),
                 t.mean() * 1e3, t.p99() * 1e3, t.max() * 1e3);
   };
-  row("small", gen.fct_small());
-  row("medium", gen.fct_medium());
-  row("large", gen.fct_large());
-  row("all", gen.fct_all());
+  row("small", collector.fct_small());
+  row("medium", collector.fct_medium());
+  row("large", collector.fct_large());
+  row("all", collector.fct_all());
   return 0;
 }

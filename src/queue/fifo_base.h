@@ -104,7 +104,6 @@ class FifoBase : public sim::QueueDisc, public sim::SharedBufferClient {
   sim::EnqueueResult do_enqueue(sim::Packet& pkt, SimTime now) final {
     if (would_overflow(pkt)) {
       if (!DTDCTCP_CHECK_INJECT(kUncountedDrop)) count_drop();
-      trace("drop", pkt, now);
       return sim::EnqueueResult::kDropped;
     }
     if (pool_ != nullptr && !pool_->try_reserve(port_, pkt.size_bytes)) {
@@ -114,15 +113,12 @@ class FifoBase : public sim::QueueDisc, public sim::SharedBufferClient {
         pool_->force_reserve(port_, pkt.size_bytes);
       } else {
         count_drop();
-        trace("drop", pkt, now);
         return sim::EnqueueResult::kDropped;
       }
     }
-    const bool ce_on_arrival = pkt.ce;
     if (!before_admit(pkt, now)) {  // early drop (RED in drop mode)
       if (pool_ != nullptr) pool_->release(port_, pkt.size_bytes);
       count_drop();
-      trace("drop", pkt, now);
       return sim::EnqueueResult::kDropped;
     }
     q_.push_back(pkt);
@@ -136,8 +132,6 @@ class FifoBase : public sim::QueueDisc, public sim::SharedBufferClient {
       q_.back().ce = true;
     }
     pkt.ce = q_.back().ce;  // keep caller's view consistent (unused by port)
-    if (!ce_on_arrival && pkt.ce) trace("mark", pkt, now);
-    trace("enq", pkt, now);
     notify(now, q_.size(), bytes_);
     return sim::EnqueueResult::kEnqueued;
   }
@@ -153,11 +147,8 @@ class FifoBase : public sim::QueueDisc, public sim::SharedBufferClient {
     if (pool_ != nullptr && !DTDCTCP_CHECK_INJECT(kPoolLeak)) {
       pool_->release(port_, out.size_bytes);
     }
-    const bool ce_before = out.ce;
     on_occupancy_change(now, /*grew=*/false);
     after_dequeue(out, now);  // may mark (dequeue-marking disciplines)
-    if (!ce_before && out.ce) trace("mark", out, now);
-    trace("deq", out, now);
     notify(now, q_.size(), bytes_);
     return true;
   }

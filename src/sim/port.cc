@@ -52,7 +52,6 @@ std::size_t Port::drop_queued(SimTime now) {
   std::size_t n = 0;
   Packet pkt;
   while (disc_->dequeue(pkt, now)) {
-    if (trace_ != nullptr) trace_->packet_event("loss", pkt, now);
     DTDCTCP_CHECK_HOOK(packet_lost(this, pkt));
     ++link_down_drops_;
     ++n;
@@ -61,7 +60,6 @@ std::size_t Port::drop_queued(SimTime now) {
 }
 
 void Port::begin_transmission(Packet pkt) {
-  if (trace_ != nullptr) trace_->packet_event("tx", pkt, sim_->now());
   // With a fluid background sharing the link, foreground packets only
   // get the residual capacity (exactly rate_bps_ when the gauge is 1.0,
   // so a zero-share aggregate changes no timestamps).

@@ -79,9 +79,6 @@ class Port {
   /// Packets lost to drop_queued() (link-failure backlog discards).
   std::uint64_t link_down_drops() const { return link_down_drops_; }
 
-  /// Attaches a per-packet tracer for transmission events ("tx").
-  void set_trace(TraceSink* sink) { trace_ = sink; }
-
   /// Hybrid fluid coupling: scales the effective serialization rate by
   /// `*frac` (a live gauge in (0, 1] owned by a hybrid::FluidBackground
   /// aggregate), modelling the link capacity the fluid background
@@ -125,7 +122,6 @@ class Port {
   std::unique_ptr<QueueDisc> disc_;
   parsim::Mailbox* remote_ = nullptr;
   Node* peer_ = nullptr;
-  TraceSink* trace_ = nullptr;
   const double* avail_frac_ = nullptr;
   Release release_ = Release::kNone;
   SimTime busy_until_ = 0.0;

@@ -9,7 +9,6 @@
 #include "check/hook.h"
 #include "sim/counters.h"
 #include "sim/packet.h"
-#include "sim/trace.h"
 
 namespace dtdctcp::sim {
 
@@ -77,11 +76,8 @@ class QueueDisc {
   void on_bypass(Packet& pkt, SimTime now) {
     ++offered_;
     ++bypassed_;
-    const bool ce_before = pkt.ce;
+    [[maybe_unused]] const bool ce_before = pkt.ce;
     do_bypass(pkt, now);
-    // Bypass marking (PIE's arrival probability, for one) must reach
-    // tracers exactly like queue-path marking does.
-    if (!ce_before && pkt.ce) trace("mark", pkt, now);
     DTDCTCP_CHECK_HOOK(queue_bypassed(this, pkt, ce_before, now));
   }
 
@@ -110,10 +106,6 @@ class QueueDisc {
   /// detaches. The observer must outlive the discipline's activity.
   void set_observer(QueueObserver* observer) { observer_ = observer; }
 
-  /// Attaches a per-packet event tracer (enq/deq/drop/mark). Null
-  /// detaches; the sink must outlive the discipline's activity.
-  void set_trace(TraceSink* sink) { trace_ = sink; }
-
  protected:
   /// Admission decision; may mark the packet. kDropped discards it.
   virtual EnqueueResult do_enqueue(Packet& pkt, SimTime now) = 0;
@@ -129,17 +121,14 @@ class QueueDisc {
 
   /// Accounts a packet the discipline removed and dropped after it had
   /// been admitted (never returned from dequeue). Counts the drop.
-  void discard(const Packet& pkt, SimTime now) {
+  void discard([[maybe_unused]] const Packet& pkt,
+               [[maybe_unused]] SimTime now) {
     count_drop();
-    trace("drop", pkt, now);
     DTDCTCP_CHECK_HOOK(queue_discarded(this, pkt, now));
   }
 
   void notify(SimTime now, std::size_t pkts, std::size_t bytes) {
     if (observer_ != nullptr) observer_->on_queue_change(now, pkts, bytes);
-  }
-  void trace(const char* event, const Packet& pkt, SimTime now) {
-    if (trace_ != nullptr) trace_->packet_event(event, pkt, now);
   }
 
  private:
@@ -150,7 +139,6 @@ class QueueDisc {
   std::uint64_t dequeued_ = 0;
   std::uint64_t bypassed_ = 0;
   QueueObserver* observer_ = nullptr;
-  TraceSink* trace_ = nullptr;
 };
 
 }  // namespace dtdctcp::sim

@@ -22,10 +22,6 @@
 //  * `capacity == 0` means an unlimited pool: every reservation is
 //    admitted, making a pooled configuration byte-identical to an
 //    unpooled one (the no-op recovery guarantee the tests pin).
-//
-// The anonymous try_reserve/release pair (no port id) is kept for
-// callers that only want a global byte budget; such reservations
-// contend for the shared region but carry no guarantee of their own.
 #pragma once
 
 #include <algorithm>
@@ -114,24 +110,6 @@ class SharedBufferPool {
     const std::size_t hr = p.share.headroom_bytes;
     guaranteed_used_ -= std::min(p.used, hr) - std::min(p.used - bytes, hr);
     p.used -= bytes;
-    used_ -= bytes;
-  }
-
-  /// Anonymous reservation (no port id): contends for the shared region
-  /// without a guarantee of its own. Kept for callers that only want a
-  /// global byte budget.
-  bool try_reserve(std::size_t bytes) {
-    if (capacity_ != 0) {
-      if (bytes > capacity_ - used_) return false;
-      if (used_ + bytes - guaranteed_used_ > shared_capacity()) return false;
-    }
-    used_ += bytes;
-    peak_used_ = std::max(peak_used_, used_);
-    return true;
-  }
-
-  void release(std::size_t bytes) {
-    assert(bytes <= used_ && "releasing more than reserved");
     used_ -= bytes;
   }
 

@@ -450,7 +450,6 @@ void TcpSender::on_rto_fired() {
 
 void TcpSender::set_cwnd(double w) {
   cwnd_ = std::clamp(w, cfg_.min_cwnd, cfg_.max_cwnd);
-  if (trace_cwnd_) cwnd_trace_.add(sim_.now(), cwnd_);
 }
 
 }  // namespace dtdctcp::tcp

@@ -20,7 +20,6 @@
 
 #include "sim/host.h"
 #include "sim/simulator.h"
-#include "stats/time_series.h"
 #include "tcp/config.h"
 
 namespace dtdctcp::tcp {
@@ -55,9 +54,6 @@ class TcpSender final : public sim::PacketSink {
     on_complete_ = std::move(cb);
   }
 
-  /// Enables (time, cwnd) trace recording.
-  void enable_cwnd_trace() { trace_cwnd_ = true; }
-
   // --- observability --------------------------------------------------
   sim::FlowId flow() const { return flow_; }
   const TcpConfig& config() const { return cfg_; }
@@ -90,7 +86,6 @@ class TcpSender final : public sim::PacketSink {
   /// actually saw, as opposed to the reductions it took.
   std::uint64_t ece_acks() const { return ece_acks_; }
   std::size_t sacked_segments() const { return sacked_.size(); }
-  const stats::TimeSeries& cwnd_trace() const { return cwnd_trace_; }
 
  private:
   void handle_ack(const sim::Packet& ack);
@@ -180,8 +175,6 @@ class TcpSender final : public sim::PacketSink {
   std::uint64_t ecn_reductions_ = 0;
   std::uint64_t ece_acks_ = 0;
 
-  bool trace_cwnd_ = false;
-  stats::TimeSeries cwnd_trace_;
   std::function<void(SimTime)> on_complete_;
 
   // Cancellable kernel timers. Rearming cancels the predecessor, so the

@@ -1,8 +1,8 @@
 // Open-loop Poisson flow arrivals with configurable size distribution —
 // the classic datacenter FCT benchmark (the DCTCP evaluation style this
 // paper's §VI builds on). Flows arrive as a Poisson process, pick a
-// random (source, sink) host pair, transfer a sampled number of
-// segments, and record their completion time bucketed by size.
+// random (source, sink) host pair, and transfer a sampled number of
+// segments; completed flows are reported to a tcp::FlowMetricsCollector.
 #pragma once
 
 #include <cassert>
@@ -12,7 +12,6 @@
 
 #include "queue/multi_queue.h"
 #include "sim/network.h"
-#include "stats/percentile.h"
 #include "tcp/connection.h"
 #include "tcp/flow_metrics.h"
 #include "util/rng.h"
@@ -85,6 +84,8 @@ struct PoissonConfig {
   FlowSizeDist sizes = FlowSizeDist::websearch();
   SimTime duration = 1.0;       ///< arrival window; flows may finish later
   std::uint64_t seed = 5;
+  /// Size classes for the FlowMetricsCollector a caller attaches (and
+  /// for `priority_bounds`); the generator itself does not read them.
   std::int64_t small_cutoff_segments = 70;    ///< ~100 KB
   std::int64_t large_cutoff_segments = 670;   ///< ~1 MB
 
@@ -125,23 +126,13 @@ class PoissonFlowGenerator {
 
   void start(SimTime t0) { schedule_next(t0); }
 
-  /// Optional per-flow lifecycle sink: every completed flow's
-  /// FlowRecord is pushed into `c` (must outlive the simulation run).
+  /// Per-flow lifecycle sink: every completed flow's FlowRecord is
+  /// pushed into `c` (must outlive the simulation run). It is where a
+  /// run's FCTs and timeouts are read.
   void set_collector(tcp::FlowMetricsCollector* c) { collector_ = c; }
 
   std::size_t flows_started() const { return started_; }
   std::size_t flows_completed() const { return completed_; }
-
-  stats::PercentileTracker& fct_all() { return fct_all_; }
-  stats::PercentileTracker& fct_small() { return fct_small_; }
-  stats::PercentileTracker& fct_medium() { return fct_medium_; }
-  stats::PercentileTracker& fct_large() { return fct_large_; }
-
-  std::uint64_t total_timeouts() const {
-    std::uint64_t t = finished_timeouts_;
-    for (const auto& c : live_) t += c->sender().timeouts();
-    return t;
-  }
 
  private:
   void schedule_next(SimTime now) {
@@ -176,8 +167,8 @@ class PoissonFlowGenerator {
     auto conn =
         std::make_unique<tcp::Connection>(net_, *src, *dst, flow_cfg, segs);
     tcp::Connection* raw = conn.get();
-    conn->set_on_complete([this, raw, segs, now](SimTime t) {
-      record(segs, t - now);
+    conn->set_on_complete([this, raw](SimTime) {
+      ++completed_;
       if (collector_ != nullptr) collector_->record(raw->flow_record());
       reap(raw);
     });
@@ -186,22 +177,9 @@ class PoissonFlowGenerator {
     ++started_;
   }
 
-  void record(std::int64_t segs, double fct) {
-    ++completed_;
-    fct_all_.add(fct);
-    if (segs <= cfg_.small_cutoff_segments) {
-      fct_small_.add(fct);
-    } else if (segs >= cfg_.large_cutoff_segments) {
-      fct_large_.add(fct);
-    } else {
-      fct_medium_.add(fct);
-    }
-  }
-
   /// Deferred destruction: the completing connection is still on the
   /// call stack, so free it from a fresh event.
   void reap(tcp::Connection* conn) {
-    finished_timeouts_ += conn->sender().timeouts();
     net_.sim().after(0.0, [this, conn] {
       for (auto it = live_.begin(); it != live_.end(); ++it) {
         if (it->get() == conn) {
@@ -223,12 +201,6 @@ class PoissonFlowGenerator {
   std::vector<std::unique_ptr<tcp::Connection>> live_;
   std::size_t started_ = 0;
   std::size_t completed_ = 0;
-  std::uint64_t finished_timeouts_ = 0;
-
-  stats::PercentileTracker fct_all_;
-  stats::PercentileTracker fct_small_;
-  stats::PercentileTracker fct_medium_;
-  stats::PercentileTracker fct_large_;
 };
 
 }  // namespace dtdctcp::workload

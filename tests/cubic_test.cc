@@ -89,7 +89,6 @@ TEST(Cubic, GrowthAcceleratesAwayFromWmax) {
   Path p(units::mbps(200), 256);
   auto cfg = cubic_cfg();
   tcp::Connection conn(p.net, *p.a, *p.b, cfg, 0);
-  conn.sender().enable_cwnd_trace();
   conn.start_at(0.0);
   p.net.sim().run_until(2.0);
   EXPECT_GT(conn.sender().fast_retransmits(), 0u);

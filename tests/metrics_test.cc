@@ -1,6 +1,6 @@
 // Tests for the flow-level observability layer: the metrics registry
 // primitives (counters, gauges, log-linear histograms), the export
-// hooks on queue monitors / switch counters / trace sinks, and per-flow
+// hooks on queue monitors and switch counters, and per-flow
 // lifecycle records harvested from real simulations.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "sim/counters.h"
 #include "sim/network.h"
 #include "sim/queue_monitor.h"
-#include "sim/trace.h"
 #include "stats/metrics.h"
 #include "tcp/connection.h"
 #include "tcp/flow_metrics.h"
@@ -162,25 +161,6 @@ TEST(Registry, MaybeExportRespectsEnvConvention) {
   std::ifstream csv("/tmp/metrics_test_export.metrics.csv");
   EXPECT_TRUE(csv.is_open());
   ::unsetenv("DTDCTCP_CSV_DIR");
-}
-
-TEST(CountingTracer, CountsEventsByKind) {
-  stats::MetricsRegistry reg;
-  sim::CountingTracer tracer(reg, "q0");
-  sim::Packet pkt;
-  tracer.packet_event("enq", pkt, 0.0);
-  tracer.packet_event("enq", pkt, 0.1);
-  tracer.packet_event("deq", pkt, 0.2);
-  tracer.packet_event("mark", pkt, 0.3);
-  tracer.packet_event("drop", pkt, 0.4);
-  tracer.packet_event("tx", pkt, 0.5);
-  tracer.packet_event("weird", pkt, 0.6);
-  EXPECT_EQ(reg.counter("q0.enq").value(), 2u);
-  EXPECT_EQ(reg.counter("q0.deq").value(), 1u);
-  EXPECT_EQ(reg.counter("q0.mark").value(), 1u);
-  EXPECT_EQ(reg.counter("q0.drop").value(), 1u);
-  EXPECT_EQ(reg.counter("q0.tx").value(), 1u);
-  EXPECT_EQ(reg.counter("q0.other").value(), 1u);
 }
 
 TEST(CountersExport, EveryFieldRegistered) {

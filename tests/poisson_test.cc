@@ -73,13 +73,17 @@ TEST(PoissonGenerator, LowLoadFlowsAllComplete) {
   cfg.sizes = FlowSizeDist::fixed(20);
   cfg.arrivals_per_sec = 500.0;
   cfg.duration = 0.2;
+  tcp::FlowMetricsCollector collector;
   workload::PoissonFlowGenerator gen(*fab.net, fab.hosts, fab.hosts,
                                      tcp_cfg, cfg);
+  gen.set_collector(&collector);
   gen.start(0.0);
   fab.net->sim().run();
   EXPECT_GT(gen.flows_started(), 50u);
+  // A drained run reports every started flow to the collector.
   EXPECT_EQ(gen.flows_completed(), gen.flows_started());
-  EXPECT_GT(gen.fct_all().count(), 0u);
+  EXPECT_EQ(collector.flows(), gen.flows_completed());
+  EXPECT_EQ(collector.fct_all().count(), collector.flows());
 }
 
 TEST(PoissonGenerator, ArrivalCountNearExpectation) {
@@ -111,13 +115,17 @@ TEST(PoissonGenerator, SmallFlowsFinishFasterThanLarge) {
   cfg.sizes = FlowSizeDist({{5, 0.7}, {1000, 0.3}});
   cfg.arrivals_per_sec = 200.0;
   cfg.duration = 0.3;
+  tcp::FlowMetricsCollector collector;
   workload::PoissonFlowGenerator gen(*fab.net, fab.hosts, fab.hosts,
                                      tcp_cfg, cfg);
+  gen.set_collector(&collector);
   gen.start(0.0);
   fab.net->sim().run();
-  ASSERT_GT(gen.fct_small().count(), 0u);
-  ASSERT_GT(gen.fct_large().count(), 0u);
-  EXPECT_LT(gen.fct_small().mean(), gen.fct_large().mean());
+  EXPECT_EQ(gen.flows_completed(), gen.flows_started());
+  EXPECT_EQ(collector.flows(), gen.flows_completed());
+  ASSERT_GT(collector.fct_small().count(), 0u);
+  ASSERT_GT(collector.fct_large().count(), 0u);
+  EXPECT_LT(collector.fct_small().mean(), collector.fct_large().mean());
 }
 
 TEST(FlowSampler, MeasuresGoodputAndFairness) {

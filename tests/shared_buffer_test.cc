@@ -26,13 +26,14 @@ sim::Packet pkt(std::uint32_t bytes = 1500) {
 
 TEST(SharedBufferPool, AccountingAndExhaustion) {
   sim::SharedBufferPool pool(4000);
-  EXPECT_TRUE(pool.try_reserve(1500));
-  EXPECT_TRUE(pool.try_reserve(1500));
+  const std::size_t p = pool.add_port({});  // no headroom, no DT cap
+  EXPECT_TRUE(pool.try_reserve(p, 1500));
+  EXPECT_TRUE(pool.try_reserve(p, 1500));
   EXPECT_EQ(pool.used(), 3000u);
   EXPECT_EQ(pool.available(), 1000u);
-  EXPECT_FALSE(pool.try_reserve(1500));  // would exceed
-  pool.release(1500);
-  EXPECT_TRUE(pool.try_reserve(1500));
+  EXPECT_FALSE(pool.try_reserve(p, 1500));  // would exceed
+  pool.release(p, 1500);
+  EXPECT_TRUE(pool.try_reserve(p, 1500));
 }
 
 TEST(SharedBufferPool, QueueChargesAndReleases) {
@@ -78,24 +79,17 @@ TEST(SharedBufferPool, TryReserveRejectsNearMaxWithoutWrapping) {
   // Regression: `used_ + bytes > capacity_` wraps for bytes near
   // SIZE_MAX; the rewritten `bytes > capacity_ - used_` form cannot.
   sim::SharedBufferPool pool(4000);
-  ASSERT_TRUE(pool.try_reserve(3000));
+  const std::size_t p = pool.add_port({});
+  ASSERT_TRUE(pool.try_reserve(p, 3000));
   constexpr std::size_t kMax = static_cast<std::size_t>(-1);
-  EXPECT_FALSE(pool.try_reserve(kMax));
-  EXPECT_FALSE(pool.try_reserve(kMax - 100));
-  EXPECT_FALSE(pool.try_reserve(kMax - 3000));
+  EXPECT_FALSE(pool.try_reserve(p, kMax));
+  EXPECT_FALSE(pool.would_admit(p, kMax - 100));
+  EXPECT_FALSE(pool.try_reserve(p, kMax - 3000));
   EXPECT_EQ(pool.used(), 3000u);  // rejected requests charged nothing
   // Exact-fit boundary still admits; one byte more does not.
-  EXPECT_FALSE(pool.try_reserve(1001));
-  EXPECT_TRUE(pool.try_reserve(1000));
+  EXPECT_FALSE(pool.try_reserve(p, 1001));
+  EXPECT_TRUE(pool.try_reserve(p, 1000));
   EXPECT_EQ(pool.available(), 0u);
-  // Same arithmetic on the per-port path.
-  sim::SharedBufferPool ported(4000);
-  const std::size_t p = ported.add_port({});
-  ASSERT_TRUE(ported.try_reserve(p, 3000));
-  EXPECT_FALSE(ported.would_admit(p, kMax - 100));
-  EXPECT_FALSE(ported.try_reserve(p, kMax - 3000));
-  EXPECT_TRUE(ported.try_reserve(p, 1000));
-  EXPECT_EQ(ported.used(), 4000u);
 }
 
 TEST(SharedBufferPool, DynamicThresholdCapsAHotPort) {
@@ -143,7 +137,7 @@ TEST(SharedBufferPool, UnlimitedPoolAdmitsEverything) {
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(pool.try_reserve(p, 1500));
   }
-  EXPECT_TRUE(pool.try_reserve(1 << 30));  // anonymous path too
+  EXPECT_TRUE(pool.try_reserve(p, 1 << 30));
   EXPECT_EQ(pool.used(), 1000u * 1500u + (1u << 30));
   EXPECT_EQ(pool.peak_used(), pool.used());
 }

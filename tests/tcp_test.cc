@@ -250,13 +250,60 @@ TEST(Tcp, TwoFlowsShareFairly) {
   EXPECT_GT((g1 + g2) * 8.0 / 1.0, 0.8 * units::mbps(100));
 }
 
-TEST(Tcp, CwndTraceRecordsWhenEnabled) {
-  Path p;
-  tcp::Connection conn(p.net, *p.a, *p.b, reno_config(), 50);
-  conn.sender().enable_cwnd_trace();
+// Per-hop packet accounting along a TCP path, read from sim::Counters
+// and the receiver rather than re-derived from packet events.
+
+TEST(Trace, PortEmitsTxEvents) {
+  sim::Network net;
+  auto& sw = net.add_switch("sw");
+  auto& a = net.add_host("a");
+  auto& b = net.add_host("b");
+  const auto q = queue::drop_tail(0, 0);
+  net.attach_host(a, sw, units::gbps(1), 1e-6, q, q);
+  net.attach_host(b, sw, units::gbps(1), 1e-6, q, q);
+  net.build_routes();
+
+  tcp::TcpConfig cfg;
+  cfg.mode = tcp::CcMode::kReno;
+  tcp::Connection conn(net, a, b, cfg, 25);
   conn.start_at(0.0);
-  p.net.sim().run();
-  EXPECT_GT(conn.sender().cwnd_trace().size(), 0u);
+  net.sim().run();
+  // Every data segment left a's NIC exactly once (no losses here).
+  EXPECT_EQ(a.uplink().counters().sent_packets, 25u);
+}
+
+TEST(Trace, EndToEndMarkCountMatchesDiscCounter) {
+  sim::Network net;
+  auto& sw = net.add_switch("sw");
+  auto& a = net.add_host("a");
+  auto& b = net.add_host("b");
+  const auto q = queue::drop_tail(0, 0);
+  net.attach_host(a, sw, units::gbps(1), 25e-6, q, q);
+  const auto port = net.attach_host(
+      b, sw, units::mbps(100), 25e-6, q,
+      queue::ecn_threshold(0, 0, 10.0, queue::ThresholdUnit::kPackets));
+  net.build_routes();
+
+  tcp::TcpConfig cfg;
+  cfg.mode = tcp::CcMode::kDctcp;
+  tcp::Connection conn(net, a, b, cfg, 2000);
+  conn.start_at(0.0);
+  net.sim().run_until(0.1);
+  sim::QueueDisc& disc = sw.port(port).disc();
+  // Conservation at the queue mid-transfer: enq == deq + still-queued.
+  const sim::Counters mid = disc.counters();
+  EXPECT_EQ(mid.enqueued, mid.dequeued + disc.packets());
+
+  net.sim().run();
+  EXPECT_TRUE(conn.sender().completed());
+  EXPECT_GT(disc.marks(), 0u);
+  // Nothing is lost past the bottleneck, so every CE mark the disc
+  // counted reaches the receiver, and the port reports the same total.
+  EXPECT_EQ(conn.receiver().ce_received(), disc.marks());
+  EXPECT_EQ(sw.port(port).counters().marked, disc.marks());
+  const sim::Counters end = disc.counters();
+  EXPECT_EQ(end.enqueued, end.dequeued);
+  EXPECT_EQ(disc.packets(), 0u);
 }
 
 }  // namespace

@@ -178,8 +178,11 @@ int run_fct_cmd(const Args& args, const queue::MarkingRule& marking) {
   wl.duration = args.get_double("duration", 1.0);
   wl.seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
 
+  tcp::FlowMetricsCollector collector(wl.small_cutoff_segments,
+                                      wl.large_cutoff_segments);
   workload::PoissonFlowGenerator gen(*fab.net, fab.hosts, fab.hosts,
                                      tcp_cfg, wl);
+  gen.set_collector(&collector);
   gen.start(0.0);
   fab.net->sim().run();
 
@@ -187,17 +190,15 @@ int run_fct_cmd(const Args& args, const queue::MarkingRule& marking) {
               wl.arrivals_per_sec);
   std::printf("flows            %zu completed of %zu started\n",
               gen.flows_completed(), gen.flows_started());
-  std::printf("small  mean/p99  %.2f / %.2f ms (%zu flows)\n",
-              gen.fct_small().mean() * 1e3, gen.fct_small().p99() * 1e3,
-              gen.fct_small().count());
-  std::printf("medium mean/p99  %.2f / %.2f ms (%zu flows)\n",
-              gen.fct_medium().mean() * 1e3, gen.fct_medium().p99() * 1e3,
-              gen.fct_medium().count());
-  std::printf("large  mean/p99  %.2f / %.2f ms (%zu flows)\n",
-              gen.fct_large().mean() * 1e3, gen.fct_large().p99() * 1e3,
-              gen.fct_large().count());
+  auto row = [](const char* label, stats::PercentileTracker& t) {
+    std::printf("%s mean/p99  %.2f / %.2f ms (%zu flows)\n", label,
+                t.mean() * 1e3, t.p99() * 1e3, t.count());
+  };
+  row("small ", collector.fct_small());
+  row("medium", collector.fct_medium());
+  row("large ", collector.fct_large());
   std::printf("timeouts         %llu\n",
-              static_cast<unsigned long long>(gen.total_timeouts()));
+              static_cast<unsigned long long>(collector.timeouts()));
   return 0;
 }
 

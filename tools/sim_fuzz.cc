@@ -19,11 +19,13 @@
 //       forced per-shard checkers and a run-twice digest-determinism
 //       check.
 //   sim_fuzz --inject MODE [--seed S]
-//       Fault-injection smoke test: commit the named fault
-//       (uncounted-drop, fifo-swap, occupancy-leak, spurious-mark,
-//       lost-delivery, alpha-range, fluid-negative, or "all") in
+//       Fault-injection smoke test: commit the named fault (any
+//       check::fault_name() in kFaults below, or "all") in
 //       otherwise-normal scenarios and exit 0 only if the checker
-//       detected it.
+//       detected it. sched-skip is left to priority_test
+//       (SchedLegality.InjectedPriorityInversionIsFlagged), which
+//       injects it into a strict-priority queue with both classes
+//       backlogged.
 //
 // Exit codes: 0 all passed / fault detected; 1 failures; 2 usage or
 // checks not compiled into this build.
@@ -67,30 +69,22 @@ bool scenario_failed(const FuzzResult& res) {
   return res.violation_count > 0 || !res.drained || !res.completed;
 }
 
-struct FaultMode {
-  const char* name;
-  Fault fault;
-};
-
-constexpr FaultMode kFaultModes[] = {
-    {"uncounted-drop", Fault::kUncountedDrop},
-    {"fifo-swap", Fault::kFifoSwap},
-    {"occupancy-leak", Fault::kOccupancyLeak},
-    {"spurious-mark", Fault::kSpuriousMark},
-    {"lost-delivery", Fault::kLostDelivery},
-    {"alpha-range", Fault::kAlphaRange},
-    {"pool-leak", Fault::kPoolLeak},
-    {"pool-overadmit", Fault::kPoolOverAdmit},
-    {"fluid-negative", Fault::kFluidNegative},
+/// Every fault the fuzz scenarios can commit; --inject takes their
+/// check::fault_name().
+constexpr Fault kFaults[] = {
+    Fault::kUncountedDrop, Fault::kFifoSwap,      Fault::kOccupancyLeak,
+    Fault::kSpuriousMark,  Fault::kLostDelivery,  Fault::kAlphaRange,
+    Fault::kPoolLeak,      Fault::kPoolOverAdmit, Fault::kFluidNegative,
 };
 
 /// Runs scenarios until one actually commits the fault, then requires
 /// the checker to have flagged it. Scenarios that never reach the
 /// injection site (e.g. no buffer overflow for uncounted-drop) are
 /// skipped, not failures.
-bool smoke_one_fault(const FaultMode& mode, std::uint64_t base_seed) {
+bool smoke_one_fault(Fault fault, std::uint64_t base_seed) {
+  const char* name = fault_name(fault);
   CheckConfig cfg;
-  cfg.inject = mode.fault;
+  cfg.inject = fault;
   cfg.abort_on_violation = false;
   for (int attempt = 0; attempt < 64; ++attempt) {
     const std::uint64_t seed = derive_seed(base_seed, attempt);
@@ -100,7 +94,7 @@ bool smoke_one_fault(const FaultMode& mode, std::uint64_t base_seed) {
     if (res.violation_count > 0) {
       std::printf("  %-15s detected (seed=%llu, %llu violation(s), "
                   "first kind=%s)\n",
-                  mode.name, static_cast<unsigned long long>(seed),
+                  name, static_cast<unsigned long long>(seed),
                   static_cast<unsigned long long>(res.violation_count),
                   res.violations.empty()
                       ? "?"
@@ -109,13 +103,13 @@ bool smoke_one_fault(const FaultMode& mode, std::uint64_t base_seed) {
     }
     std::printf("  %-15s NOT DETECTED: fault fired in seed=%llu but no "
                 "violation was recorded\n    repro: %s --inject %s\n",
-                mode.name, static_cast<unsigned long long>(seed),
-                sc.repro_command().c_str(), mode.name);
+                name, static_cast<unsigned long long>(seed),
+                sc.repro_command().c_str(), name);
     return false;
   }
   std::printf("  %-15s NOT EXERCISED: no scenario out of 64 committed the "
               "fault (base seed %llu)\n",
-              mode.name, static_cast<unsigned long long>(base_seed));
+              name, static_cast<unsigned long long>(base_seed));
   return false;
 }
 
@@ -127,10 +121,9 @@ int usage() {
                "[--buffer N] [--shrink]\n"
                "       sim_fuzz --fluid N [--seed S]\n"
                "       sim_fuzz --large N [--seed S]\n"
-               "       sim_fuzz --inject MODE [--seed S]   (MODE: "
-               "uncounted-drop fifo-swap occupancy-leak spurious-mark "
-               "lost-delivery alpha-range pool-leak pool-overadmit "
-               "fluid-negative all)\n");
+               "       sim_fuzz --inject MODE [--seed S]   (MODE:");
+  for (Fault f : kFaults) std::fprintf(stderr, " %s", fault_name(f));
+  std::fprintf(stderr, " all)\n");
   return 2;
 }
 
@@ -204,10 +197,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(base_seed));
     bool all_ok = true;
     bool matched = false;
-    for (const FaultMode& m : kFaultModes) {
-      if (inject_mode == "all" || inject_mode == m.name) {
+    for (Fault f : kFaults) {
+      if (inject_mode == "all" || inject_mode == fault_name(f)) {
         matched = true;
-        all_ok = smoke_one_fault(m, base_seed) && all_ok;
+        all_ok = smoke_one_fault(f, base_seed) && all_ok;
       }
     }
     if (!matched) {
