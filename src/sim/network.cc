@@ -62,9 +62,10 @@ void Network::rebuild_routes(const PortFilter& usable,
   // The distances to H depend only on H's seeds, the switches with a
   // usable port to H, so hosts with the same seeds (every host behind
   // one edge switch) share one multi-source backward BFS, and away from
-  // the seeds one group per switch. The topology is read once into a
-  // dense view: ports numbered switch by switch, each peer looked up in
-  // the node table, each filter evaluated once.
+  // the seeds one group per switch, stored once in its pool. The
+  // topology is read once into a dense view: ports numbered switch by
+  // switch, each peer looked up in the node table, each filter
+  // evaluated once.
   constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
   const std::size_t n_sw = switches_.size();
   const std::size_t n_host = hosts_.size();
@@ -95,7 +96,6 @@ void Network::rebuild_routes(const PortFilter& usable,
   for (std::size_t s = 0; s < n_sw; ++s) {
     Switch& sw = *switches_[s];
     writes[s] = write == nullptr || write(sw);
-    if (writes[s]) sw.size_routes(nodes_.size());
     for (std::size_t p = 0; p < sw.port_count(); ++p) {
       Node* peer = sw.port(p).peer();
       assert(peer != nullptr && "dangling port");
@@ -143,73 +143,97 @@ void Network::rebuild_routes(const PortFilter& usable,
         seed_begin[h], seed_begin[h + 1] - seed_begin[h]);
   };
 
-  // Hosts sorted by seeds, so each attachment set is one run.
+  // Hosts sorted by seeds, so each attachment set is one run:
+  // order[set_begin[x] .. set_begin[x + 1]) are the hosts of set x.
   std::vector<std::uint32_t> order(n_host);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
     return std::ranges::lexicographical_compare(seeds_of(a), seeds_of(b));
   });
+  std::vector<std::uint32_t> set_begin;
+  set_begin.reserve(n_host + 1);
+  for (std::uint32_t i = 0; i < n_host; ++i) {
+    if (i == 0 || !std::ranges::equal(seeds_of(order[i]),
+                                      seeds_of(order[i - 1]))) {
+      set_begin.push_back(i);
+    }
+  }
+  set_begin.push_back(static_cast<std::uint32_t>(n_host));
+  const std::size_t n_sets = set_begin.size() - 1;
 
-  std::vector<std::uint32_t> dist(n_sw);  // hops to the set's hosts
+  // One backward BFS from each set's seeds; dist[x * n_sw + s] is
+  // switch s's hop count to set x's hosts. `usable` is symmetric per
+  // link, so filtering the outbound direction also keeps the BFS from
+  // discovering peers across a down link.
+  std::vector<std::uint32_t> dist(n_sets * n_sw, kNone);
   std::vector<std::uint32_t> frontier;
   frontier.reserve(n_sw);
-  std::vector<std::uint32_t> group;
-  for (std::size_t begin = 0, end = 0; begin < n_host; begin = end) {
-    const auto set_seeds = seeds_of(order[begin]);
-    end = begin + 1;
-    while (end < n_host &&
-           std::ranges::equal(seeds_of(order[end]), set_seeds)) {
-      ++end;
-    }
-    const std::span<const std::uint32_t> set(order.data() + begin,
-                                             end - begin);
-
-    // Backward BFS from the seeds. `usable` is symmetric per link, so
-    // filtering the outbound direction also keeps the BFS from
-    // discovering peers across a down link.
-    std::fill(dist.begin(), dist.end(), kNone);
+  for (std::size_t x = 0; x < n_sets; ++x) {
+    std::uint32_t* d = dist.data() + x * n_sw;
+    const auto set_seeds = seeds_of(order[set_begin[x]]);
     frontier.assign(set_seeds.begin(), set_seeds.end());
-    for (std::uint32_t s : set_seeds) dist[s] = 1;
+    for (std::uint32_t s : set_seeds) d[s] = 1;
     for (std::size_t f = 0; f < frontier.size(); ++f) {
       const std::uint32_t s = frontier[f];
       for (std::uint32_t i = first_port[s]; i < first_port[s + 1]; ++i) {
         const std::uint32_t peer = ports[i].peer_switch;
-        if (peer == kNone || !ports[i].usable || dist[peer] != kNone) continue;
-        dist[peer] = dist[s] + 1;
+        if (peer == kNone || !ports[i].usable || d[peer] != kNone) continue;
+        d[peer] = d[s] + 1;
         frontier.push_back(peer);
       }
     }
+  }
 
-    // Away from the seeds, one group per switch serves the whole set.
-    // Install unconditionally: an empty group CLEARS a stale entry, so
-    // an unreachable destination hits the counted unrouted-drop guard.
-    for (std::uint32_t s = 0; s < n_sw; ++s) {
-      if (!writes[s] || dist[s] == 1) continue;
-      group.clear();
-      if (dist[s] != kNone) {
+  // Each written switch's table, built here and installed in one call.
+  // Away from the seeds one group per set serves all of its hosts; on a
+  // seed, a host's group is its own usable direct ports. The table is
+  // replaced whole, so an unreachable host's entry is empty and its
+  // packets hit the counted unrouted-drop guard. A switch's groups for
+  // one set use each of its ports at most once, so its pool holds at
+  // most one port count per set.
+  std::size_t max_ports = 0;
+  for (const Switch* sw : switches_) {
+    max_ports = std::max(max_ports, sw->port_count());
+  }
+  std::vector<Switch::RouteEntry> table;
+  std::vector<std::uint32_t> pool;
+  pool.reserve(n_sets * max_ports);
+  for (std::uint32_t s = 0; s < n_sw; ++s) {
+    if (!writes[s]) continue;
+    table.assign(nodes_.size(), {});
+    pool.clear();
+    for (std::size_t x = 0; x < n_sets; ++x) {
+      const std::uint32_t* d = dist.data() + x * n_sw;
+      const std::span<const std::uint32_t> set(
+          order.data() + set_begin[x], set_begin[x + 1] - set_begin[x]);
+      if (d[s] == 1) {
+        for (std::uint32_t h : set) {
+          const auto offset = static_cast<std::uint32_t>(pool.size());
+          for (std::uint32_t i = host_port_begin[h];
+               i < host_port_begin[h + 1]; ++i) {
+            if (ports[host_ports[i]].owner == s) {
+              pool.push_back(host_ports[i] - first_port[s]);
+            }
+          }
+          table[hosts_[h]->id()] = {
+              offset, static_cast<std::uint32_t>(pool.size()) - offset};
+        }
+        continue;
+      }
+      const auto offset = static_cast<std::uint32_t>(pool.size());
+      if (d[s] != kNone) {
         for (std::uint32_t i = first_port[s]; i < first_port[s + 1]; ++i) {
           const std::uint32_t peer = ports[i].peer_switch;
-          if (ports[i].usable && peer != kNone && dist[peer] == dist[s] - 1) {
-            group.push_back(i - first_port[s]);
+          if (ports[i].usable && peer != kNone && d[peer] == d[s] - 1) {
+            pool.push_back(i - first_port[s]);
           }
         }
       }
-      for (std::uint32_t h : set) {
-        switches_[s]->set_routes(hosts_[h]->id(), group);
-      }
+      const Switch::RouteEntry group{
+          offset, static_cast<std::uint32_t>(pool.size()) - offset};
+      for (std::uint32_t h : set) table[hosts_[h]->id()] = group;
     }
-    // On a seed, a host's group is its own usable direct ports.
-    for (std::uint32_t h : set) {
-      for (std::uint32_t i = host_port_begin[h]; i < host_port_begin[h + 1];) {
-        const std::uint32_t s = ports[host_ports[i]].owner;
-        group.clear();
-        for (; i < host_port_begin[h + 1] && ports[host_ports[i]].owner == s;
-             ++i) {
-          group.push_back(host_ports[i] - first_port[s]);
-        }
-        if (writes[s]) switches_[s]->set_routes(hosts_[h]->id(), group);
-      }
-    }
+    switches_[s]->set_routes(table, pool);
   }
 }
 

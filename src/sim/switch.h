@@ -25,24 +25,30 @@ class Switch final : public Node {
   Port& port(std::size_t i) { return *ports_[i]; }
   std::size_t port_count() const { return ports_.size(); }
 
-  /// Sizes the route table for destination ids below `n` in one step.
-  /// Network calls it before installing a rebuild's groups, so a table
-  /// is allocated once at its final size instead of grown by doubling.
-  void size_routes(std::size_t n) {
-    if (routes_.size() < n) routes_.resize(n);
-  }
+  /// One destination's equal-cost group: `size` egress-port indices at
+  /// `offset` in the switch's port pool. Size 0 means no route.
+  struct RouteEntry {
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
+  };
 
-  /// Installs an equal-cost group for `dst` (static routing, built by
-  /// Network); the egress port is chosen per flow by a deterministic
-  /// hash (packets of one flow always take the same path, like real
-  /// ECMP). An empty group clears the route. Reuses the entry's storage,
-  /// so re-installing a group no larger than before allocates nothing.
-  void set_routes(NodeId dst, std::span<const std::uint32_t> ports);
+  /// Replaces the forwarding table (static routing, built by Network):
+  /// `table[dst]` is the group for destination id `dst`, a range of
+  /// `pool`, and destinations that share a group share its range. The
+  /// egress port is chosen per flow by a deterministic hash (packets of
+  /// one flow always take the same path, like real ECMP). Both arrays
+  /// keep their capacity, so re-installing a table no larger than
+  /// before allocates nothing.
+  void set_routes(std::span<const RouteEntry> table,
+                  std::span<const std::uint32_t> pool) {
+    routes_.assign(table.begin(), table.end());
+    pool_.assign(pool.begin(), pool.end());
+  }
 
   /// The installed group for `dst` (empty when there is no route).
   std::span<const std::uint32_t> route(NodeId dst) const {
     if (dst >= routes_.size()) return {};
-    return routes_[dst];
+    return std::span(pool_).subspan(routes_[dst].offset, routes_[dst].size);
   }
 
   /// Forwards to the routed egress port; packets without a route are
@@ -88,7 +94,8 @@ class Switch final : public Node {
 
  private:
   std::vector<std::unique_ptr<Port>> ports_;
-  std::vector<std::vector<std::uint32_t>> routes_;  ///< dst -> port group
+  std::vector<RouteEntry> routes_;  ///< dst -> range of pool_
+  std::vector<std::uint32_t> pool_;  ///< every group's egress ports
   std::uint64_t unrouted_drops_ = 0;
   std::uint64_t ecmp_salt_ = 0;
 };

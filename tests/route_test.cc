@@ -2,14 +2,18 @@
 // one backward BFS per attachment set over a dense view of the
 // topology; the per-destination BFS it replaced is kept below as the
 // oracle. Every (switch, host) group must match member for member, in
-// ascending port order, on every topology and under every filter.
+// ascending port order, on every topology and under every filter. The
+// storage tests at the end count this executable's global allocations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <memory>
+#include <new>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -20,6 +24,43 @@
 #include "sim/network.h"
 #include "sim/star.h"
 #include "util/rng.h"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_malloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+// Out of line: inlined into a delete-expression, free() would read to
+// GCC as freeing memory that came from operator new.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+// Every replaceable non-aligned form goes through malloc and free, so
+// the pairs still match under AddressSanitizer's new/delete checks.
+void* operator new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
 
 namespace dtdctcp {
 namespace {
@@ -379,6 +420,27 @@ void check_every_condition(const World& w, std::uint64_t seed) {
     EXPECT_EQ(after[s], before[s]) << w.name << ": " << w.switches[s]->name()
                                    << " outside the filter was rewritten";
   }
+
+  // The two shards of a sharded run: after a link event each rewrites
+  // only the half it owns. Together the halves must give one unfiltered
+  // rebuild's tables, with the link down and again after it recovers.
+  const sim::Network::SwitchFilter theirs = [&](const sim::Switch& sw) {
+    return mine[sw.id()] == 0;
+  };
+  const std::vector<std::size_t> link = {down_set(w, rng).front()};
+  for (const auto& [usable, state] :
+       {std::pair{blocking(endpoints(w, link)), "link down"},
+        std::pair{sim::Network::PortFilter{}, "link recovered"}}) {
+    rebuild_and_compare(
+        w, usable, [&](const sim::Switch& sw) { return mine[sw.id()] != 0; },
+        std::string("first shard, ") + state);
+    const Tables halves = rebuild_and_compare(
+        w, usable, theirs, std::string("second shard, ") + state);
+    w.net().rebuild_routes(usable, nullptr);
+    EXPECT_TRUE(halves == installed(w))
+        << w.name << ", " << state
+        << ": the two halves differ from one unfiltered rebuild";
+  }
 }
 
 TEST(Routes, StarMatchesPerDestinationBfs) {
@@ -433,6 +495,115 @@ TEST(Routes, FatTreeLinkDownAndUpRestoresTheTables) {
     w.clos.set_link_state(i, true, 0.0);
     EXPECT_TRUE(installed(w) == initial) << "link " << i << " back up";
   }
+}
+
+// ---- Route storage ---------------------------------------------------------
+
+/// A k-ary fat-tree with `hosts_per_edge` hosts on each edge switch,
+/// wired through the Network API with no routes built yet.
+void wire_fat_tree(sim::Network& net, std::size_t k,
+                   std::size_t hosts_per_edge) {
+  const auto q = queue::drop_tail(0, 0);
+  const std::size_t r = k / 2;
+  std::vector<sim::Switch*> cores;
+  for (std::size_t c = 0; c < r * r; ++c) {
+    cores.push_back(&net.add_switch(sim::numbered("core", c)));
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    std::vector<sim::Switch*> aggs;
+    for (std::size_t j = 0; j < r; ++j) {
+      aggs.push_back(&net.add_switch(sim::numbered("agg", p * r + j)));
+      for (std::size_t c = 0; c < r; ++c) {
+        net.connect_switches(*aggs.back(), *cores[j * r + c], 1e9, 1e-6, q, q);
+      }
+    }
+    for (std::size_t e = 0; e < r; ++e) {
+      const std::size_t edge_index = p * r + e;
+      sim::Switch& edge = net.add_switch(sim::numbered("edge", edge_index));
+      for (sim::Switch* agg : aggs) {
+        net.connect_switches(edge, *agg, 1e9, 1e-6, q, q);
+      }
+      for (std::size_t h = 0; h < hosts_per_edge; ++h) {
+        sim::Host& host =
+            net.add_host(sim::numbered("h", edge_index * hosts_per_edge + h));
+        net.attach_host(host, edge, 1e9, 1e-6, q, q);
+      }
+    }
+  }
+}
+
+/// A rebuild's own allocations: one per work array of the route
+/// builder, and the link filter's copy of the down endpoints.
+constexpr std::size_t kRebuildWorkArrays = 20;
+
+TEST(Routes, FirstBuildAllocatesPerSwitchNotPerHost) {
+  // k=8: 80 switches, and 256 hosts at 8 per edge switch.
+  const auto first_build = [](std::size_t hosts_per_edge) {
+    sim::Network net;
+    wire_fat_tree(net, 8, hosts_per_edge);
+    const std::size_t before = g_allocations.load();
+    net.build_routes();
+    return g_allocations.load() - before;
+  };
+  const std::size_t eight = first_build(8);
+  EXPECT_EQ(eight, first_build(1)) << "route storage grows with the hosts";
+  // Each switch allocates its table and its pool once.
+  EXPECT_LE(eight, 2 * 80 + kRebuildWorkArrays);
+}
+
+TEST(Routes, LinkEventRebuildsAllocateABoundedAmount) {
+  // A down/up pair is two rebuilds' work arrays, plus one larger pool on
+  // each switch whose groups grew around the failure: up to k of them
+  // (an edge-agg link makes every other pod's agg on that stripe route
+  // through its edges too). The bound is the same on a 32-host k=4 and
+  // a 256-host k=8 fat-tree.
+  constexpr std::size_t kRegrownPools = 8;
+  for (const std::size_t k : {4, 8}) {
+    sim::FatTreeConfig cfg;
+    cfg.k = k;
+    cfg.hosts_per_edge = k;
+    sim::Clos clos = sim::build_fat_tree(cfg, queue::drop_tail(0, 0));
+    std::size_t most = 0;
+    for (std::size_t i = 0; i < clos.links.size(); ++i) {
+      const std::size_t before = g_allocations.load();
+      clos.set_link_state(i, false, 0.0);
+      clos.set_link_state(i, true, 0.0);
+      most = std::max(most, g_allocations.load() - before);
+    }
+    EXPECT_LE(most, 2 * kRebuildWorkArrays + kRegrownPools) << "k=" << k;
+  }
+}
+
+TEST(Routes, HostsOfOneAttachmentSetShareOnePoolRange) {
+  sim::FatTreeConfig cfg;
+  cfg.k = 8;
+  cfg.hosts_per_edge = 8;
+  const sim::Clos clos = sim::build_fat_tree(cfg, queue::drop_tail(0, 0));
+  const std::size_t per_edge = clos.cfg.hosts_per_edge;
+  std::size_t unshared = 0;
+  for (const auto& node : clos.net->nodes()) {
+    const auto* sw = dynamic_cast<const sim::Switch*>(node.get());
+    if (sw == nullptr) continue;
+    for (std::size_t e = 0; e < clos.edges.size(); ++e) {
+      const sim::Host* const* hosts = clos.hosts.data() + e * per_edge;
+      const auto first = sw->route(hosts[0]->id());
+      ASSERT_FALSE(first.empty()) << sw->name() << " -> edge " << e;
+      for (std::size_t h = 1; h < per_edge; ++h) {
+        const auto route = sw->route(hosts[h]->id());
+        if (sw == clos.edges[e]) {
+          // A seed: each host's group is its own port.
+          EXPECT_NE(route.data(), first.data()) << sw->name();
+        } else if (route.data() != first.data() ||
+                   route.size() != first.size()) {
+          if (unshared++ == 0) {
+            ADD_FAILURE() << sw->name() << ": host " << h << " of edge " << e
+                          << " has a range of its own";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(unshared, 0u);
 }
 
 }  // namespace
