@@ -13,8 +13,9 @@
 //
 // The admission timestamp each packet's sojourn is measured from is
 // queue-local state, not a protocol field, so it rides next to the
-// packet in this discipline's ring buffer rather than inflating
-// sim::Packet for every other queue in the network.
+// packet's store handle in this discipline's ring rather than inflating
+// sim::Packet for every other queue in the network. The packets
+// themselves live in a sim::PacketStore, as FifoBase's do.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include <utility>
 
 #include "queue/aqm_config.h"
+#include "sim/packet_store.h"
 #include "sim/queue_disc.h"
 #include "sim/shared_buffer.h"
 #include "util/ring_buffer.h"
@@ -45,6 +47,8 @@ class CodelQueue final : public sim::QueueDisc, public sim::SharedBufferClient {
   std::size_t bytes() const override { return bytes_; }
   bool dropping_state() const { return dropping_; }
 
+  void bind_store(sim::PacketStore& store) override { store_.bind(store); }
+
   /// Charges this queue's occupancy against a switch-wide shared memory
   /// pool, same contract as FifoBase::set_shared_pool.
   void set_shared_pool(sim::SharedBufferPool* pool,
@@ -66,7 +70,7 @@ class CodelQueue final : public sim::QueueDisc, public sim::SharedBufferClient {
       count_drop();
       return sim::EnqueueResult::kDropped;
     }
-    q_.push_back(Stamped{pkt, now});
+    q_.push_back(Queued{store_.for_put().put(pkt).handle, now});
     bytes_ += pkt.size_bytes;
     notify(now, q_.size(), bytes_);
     return sim::EnqueueResult::kEnqueued;
@@ -109,15 +113,15 @@ class CodelQueue final : public sim::QueueDisc, public sim::SharedBufferClient {
   }
 
  private:
-  /// A queued packet plus the admission time its sojourn is measured
-  /// from (CoDel-local; see the header comment).
-  struct Stamped {
-    sim::Packet pkt;
+  /// A queued packet's store handle plus the admission time its sojourn
+  /// is measured from (CoDel-local; see the header comment).
+  struct Queued {
+    sim::PacketStore::Handle handle;
     SimTime enqueue_ts;
   };
 
   void pop(sim::Packet& out, SimTime now) {
-    out = q_.front().pkt;
+    store_.held().take(q_.front().handle, out);
     q_.pop_front();
     bytes_ -= out.size_bytes;
     if (pool_ != nullptr) pool_->release(port_, out.size_bytes);
@@ -160,7 +164,8 @@ class CodelQueue final : public sim::QueueDisc, public sim::SharedBufferClient {
   CodelConfig cfg_;
   sim::SharedBufferPool* pool_ = nullptr;
   std::size_t port_ = 0;
-  util::RingBuffer<Stamped> q_;
+  sim::StoreBinding store_;
+  util::RingBuffer<Queued> q_;
   std::size_t bytes_ = 0;
 
   // Control-law state.

@@ -5,10 +5,12 @@
 // expressed in packets (the paper's simulations: K = 40 packets) or in
 // bytes (the paper's testbed: K = 32 KB), selected by ThresholdUnit.
 //
-// The backing store is a power-of-two ring buffer (util/ring_buffer.h):
-// one contiguous allocation, mask-indexed, growing only when a new
-// occupancy high-water mark is reached — the steady-state enqueue/
-// dequeue cycle of a packet queue touches no allocator at all.
+// Queued packets live in a sim::PacketStore (sim/packet_store.h): the
+// simulator's, once a port binds the queue, else one of the queue's
+// own. The queue itself keeps a power-of-two ring (util/ring_buffer.h)
+// of 32-bit handles into the store, growing only when a new occupancy
+// high-water mark is reached; the steady-state enqueue/dequeue cycle
+// touches no allocator and one store slot per call.
 //
 // Shared-memory switches: a queue optionally charges its bytes against
 // a sim::SharedBufferPool (dynamic-threshold admission; see
@@ -26,6 +28,7 @@
 #include <utility>
 
 #include "queue/aqm_config.h"
+#include "sim/packet_store.h"
 #include "sim/queue_disc.h"
 #include "sim/shared_buffer.h"
 #include "util/ring_buffer.h"
@@ -59,6 +62,8 @@ class FifoBase : public sim::QueueDisc, public sim::SharedBufferClient {
 
   std::size_t packets() const final { return q_.size(); }
   std::size_t bytes() const final { return bytes_; }
+
+  void bind_store(sim::PacketStore& store) override { store_.bind(store); }
 
   /// Charges this queue's occupancy against a switch-wide shared memory
   /// pool (see sim/shared_buffer.h), registering a port with the given
@@ -121,17 +126,18 @@ class FifoBase : public sim::QueueDisc, public sim::SharedBufferClient {
       count_drop();
       return sim::EnqueueResult::kDropped;
     }
-    q_.push_back(pkt);
+    const auto [handle, stored] = store_.for_put().put(pkt);
+    q_.push_back(handle);
     bytes_ += pkt.size_bytes;
     if (DTDCTCP_CHECK_INJECT(kOccupancyLeak)) bytes_ += 1;
     on_occupancy_change(now, /*grew=*/true);
     // The marking state machine may decide the packet (now at the tail)
     // should carry CE; let the discipline finalize it.
-    after_admit(q_.back(), now);
-    if (pkt.ect && !q_.back().ce && DTDCTCP_CHECK_INJECT(kSpuriousMark)) {
-      q_.back().ce = true;
+    after_admit(stored, now);
+    if (pkt.ect && !stored.ce && DTDCTCP_CHECK_INJECT(kSpuriousMark)) {
+      stored.ce = true;
     }
-    pkt.ce = q_.back().ce;  // keep caller's view consistent (unused by port)
+    pkt.ce = stored.ce;  // keep caller's view consistent (unused by port)
     notify(now, q_.size(), bytes_);
     return sim::EnqueueResult::kEnqueued;
   }
@@ -141,7 +147,7 @@ class FifoBase : public sim::QueueDisc, public sim::SharedBufferClient {
     if (q_.size() >= 2 && DTDCTCP_CHECK_INJECT(kFifoSwap)) {
       std::swap(q_[0], q_[1]);
     }
-    out = q_.front();
+    store_.held().take(q_.front(), out);
     q_.pop_front();
     bytes_ -= out.size_bytes;
     if (pool_ != nullptr && !DTDCTCP_CHECK_INJECT(kPoolLeak)) {
@@ -224,7 +230,8 @@ class FifoBase : public sim::QueueDisc, public sim::SharedBufferClient {
   double pool_packet_bytes_ = 1500.0;
   const double* fluid_pkts_ = nullptr;
   double fluid_packet_bytes_ = 1500.0;
-  util::RingBuffer<sim::Packet> q_;
+  sim::StoreBinding store_;
+  util::RingBuffer<sim::PacketStore::Handle> q_;
   std::size_t bytes_ = 0;
 };
 

@@ -105,6 +105,11 @@ class MultiQueueDisc final : public sim::QueueDisc {
     return n;
   }
 
+  /// The classes' packets live in the store the port binds.
+  void bind_store(sim::PacketStore& store) override {
+    for (const auto& c : classes_) c->bind_store(store);
+  }
+
   /// Port/Switch totals come from the children (the wrapper counts of
   /// this parent double-book every event the children already counted).
   sim::Counters counters() const override {

@@ -1,12 +1,24 @@
 #include "sim/port.h"
 
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "check/hook.h"
 #include "parsim/mailbox.h"
 
 namespace dtdctcp::sim {
+
+void Port::bind_simulator(Simulator& sim) {
+  if (sim_ != nullptr) settle_release();
+  if (release_ != Release::kNone || disc_->packets() != 0) {
+    throw std::logic_error(
+        "sim::Port::bind_simulator: the port has queued packets or a "
+        "pending transmitter release");
+  }
+  sim_ = &sim;
+  disc_->bind_store(sim.packet_store());
+}
 
 void Port::send(Packet pkt) {
   assert(peer_ != nullptr && "port not wired to a peer");

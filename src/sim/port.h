@@ -38,21 +38,26 @@ namespace dtdctcp::sim {
 
 class Port {
  public:
+  /// `disc` must be empty; its packets will live in `sim`'s store.
   Port(Simulator& sim, DataRate rate_bps, SimTime prop_delay,
        std::unique_ptr<QueueDisc> disc)
-      : sim_(&sim), rate_bps_(rate_bps), prop_delay_(prop_delay),
-        disc_(std::move(disc)) {}
+      : rate_bps_(rate_bps), prop_delay_(prop_delay), disc_(std::move(disc)) {
+    bind_simulator(sim);
+  }
 
   /// Sets the node packets are delivered to after propagation.
   void attach_peer(Node* peer) { peer_ = peer; }
 
   Node* peer() const { return peer_; }
 
-  /// Rebinds the port to another event queue. Used by the parsim
-  /// partitioner, which builds the topology against the network's serial
-  /// simulator and then moves each port onto its owning shard's
-  /// simulator. Only legal before any traffic has run.
-  void bind_simulator(Simulator& sim) { sim_ = &sim; }
+  /// Rebinds the port, and its discipline's packet store, to another
+  /// simulator. Used by the parsim partitioner, which builds the
+  /// topology against the network's serial simulator and then moves each
+  /// port onto its owning shard's simulator. Throws std::logic_error
+  /// while the discipline holds packets or a transmitter release is
+  /// pending: the release would stay on the old kernel and the packets'
+  /// handles in the old store.
+  void bind_simulator(Simulator& sim);
   Simulator& simulator() { return *sim_; }
 
   /// Marks this port's link as crossing a shard boundary: transmitted
@@ -116,7 +121,7 @@ class Port {
   /// empty dequeue it would have made at busy_until_.
   void settle_release();
 
-  Simulator* sim_;
+  Simulator* sim_ = nullptr;
   DataRate rate_bps_;
   SimTime prop_delay_;
   std::unique_ptr<QueueDisc> disc_;

@@ -12,6 +12,8 @@
 
 namespace dtdctcp::sim {
 
+class PacketStore;
+
 enum class EnqueueResult { kEnqueued, kDropped };
 
 /// Receives every occupancy change of a queue discipline (enqueues grew
@@ -83,6 +85,13 @@ class QueueDisc {
 
   virtual std::size_t packets() const = 0;
   virtual std::size_t bytes() const = 0;
+
+  /// Keeps queued packets in `store` (sim/packet_store.h), which must
+  /// outlive the discipline's traffic. Port binds its simulator's store
+  /// while the discipline is empty. Default: no-op, for disciplines
+  /// that buffer nothing themselves; a buffering discipline no port has
+  /// bound keeps a store of its own.
+  virtual void bind_store(PacketStore& store) { (void)store; }
 
   std::uint64_t drops() const { return drops_; }
   std::uint64_t marks() const { return marks_; }

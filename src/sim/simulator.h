@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "sim/packet.h"
+#include "sim/packet_store.h"
 #include "util/ring_buffer.h"
 #include "util/units.h"
 
@@ -338,6 +339,11 @@ class Simulator {
 
   std::uint64_t timers_cancelled() const { return cancelled_; }
 
+  /// Where the queued packets of every port on this simulator live
+  /// (sim/packet_store.h). Like the heap, the arena and the lanes, it
+  /// belongs to this simulator's thread alone.
+  PacketStore& packet_store() { return packets_; }
+
   /// Times a caller tried to schedule before now() and was clamped.
   std::uint64_t past_schedule_clamps() const { return past_clamps_; }
 
@@ -528,6 +534,7 @@ class Simulator {
   std::vector<std::unique_ptr<std::byte[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = TimerHandle::kInvalid;
+  PacketStore packets_;
 };
 
 }  // namespace dtdctcp::sim

@@ -1,4 +1,7 @@
-// Power-of-two ring buffer: the FIFO backing store of the data plane.
+// Power-of-two ring buffer: the FIFO order of the data plane. Queue
+// disciplines keep rings of sim::PacketStore handles (the packets live
+// in the store), and the event kernel's delay lanes keep rings of
+// pending deliveries.
 //
 // std::deque allocates fixed-size chunks and follows a chunk map on
 // every access; under the enqueue/dequeue churn of a packet queue the

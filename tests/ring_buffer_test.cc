@@ -1,4 +1,5 @@
-// RingBuffer: the FIFO backing store behind every queue discipline.
+// RingBuffer: the FIFO ring behind every queue discipline (of packet
+// store handles) and every delay lane of the event kernel.
 #include <gtest/gtest.h>
 
 #include <cstddef>

@@ -10,6 +10,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -914,6 +915,52 @@ TEST(Port, CrossShardArrivalMatchesLocalArrival) {
   s.run();
   ASSERT_EQ(mailbox.size(), 1u);
   EXPECT_EQ(mailbox.entries()[0].when, local);
+}
+
+TEST(Port, RebindingWithAQueuedPacketThrows) {
+  // The queued packet's handle points into the first simulator's store,
+  // and its transmitter release is scheduled on the first kernel.
+  sim::Simulator first;
+  sim::Simulator second;
+  RecordingSink sink;
+  sim::Port port(first, units::mbps(1), 0.0,
+                 std::make_unique<queue::DropTailQueue>(0, 0));
+  port.attach_peer(&sink);
+  sim::Packet pkt;
+  pkt.size_bytes = 125;
+  port.send(pkt);  // on the wire
+  port.send(pkt);  // queued behind it
+  ASSERT_EQ(first.packet_store().size(), 1u);
+  EXPECT_THROW(port.bind_simulator(second), std::logic_error);
+  // The port is left as it was and still drains on its own kernel.
+  EXPECT_EQ(&port.simulator(), &first);
+  first.run();
+  EXPECT_EQ(sink.packets.size(), 2u);
+  EXPECT_EQ(first.packet_store().size(), 0u);
+}
+
+TEST(Port, IdlePortRebindsAndQueuesInTheNewStore) {
+  sim::Simulator first;
+  sim::Simulator second;
+  RecordingSink sink;
+  sim::Port port(first, units::mbps(1), 0.0,
+                 std::make_unique<queue::DropTailQueue>(0, 0));
+  port.attach_peer(&sink);
+  sim::Packet pkt;
+  pkt.size_bytes = 125;
+  port.send(pkt);
+  first.run();  // the transmitter went idle again on the first kernel
+  port.bind_simulator(second);
+  EXPECT_EQ(&port.simulator(), &second);
+  pkt.uid = 7;
+  port.send(pkt);
+  port.send(pkt);  // waits behind the first: held by the new store
+  EXPECT_EQ(first.packet_store().size(), 0u);
+  EXPECT_EQ(second.packet_store().size(), 1u);
+  second.run();
+  ASSERT_EQ(sink.packets.size(), 3u);
+  EXPECT_EQ(sink.packets[2].uid, 7u);
+  EXPECT_EQ(second.packet_store().size(), 0u);
 }
 
 // --- network / routing ------------------------------------------------
